@@ -84,9 +84,6 @@ struct FloodSpec {
   /// Product default: batched packet path.  false = one datagram per
   /// message (the batching ablation).
   bool batching = true;
-  /// Simulator event-engine shards (results are byte-identical at every
-  /// value; see sim_world.hpp).  The curve sweeps this.
-  std::size_t shards = 1;
   std::vector<std::pair<TimePoint, NodeId>> crashes;
 };
 
@@ -99,12 +96,6 @@ struct FloodResult {
   std::uint64_t retransmissions = 0;
   std::uint64_t messages_sent = 0;    ///< rp2p messages accepted (all stacks)
   std::uint64_t data_datagrams = 0;   ///< rp2p DATA datagrams serialized
-  /// Sharded-engine round counters.  barriers/merges are pure functions of
-  /// event timings (identical at every shard count — the gate checks that);
-  /// stalls depend on shard grouping and are informational only.
-  std::uint64_t window_barriers = 0;
-  std::uint64_t merge_batches = 0;
-  std::uint64_t window_stalls = 0;
   double wall_s = 0.0;
 
   [[nodiscard]] double events_per_sec() const {
@@ -122,7 +113,6 @@ FloodResult run_flood(const FloodSpec& spec, std::uint64_t seed) {
   SimConfig config;
   config.num_stacks = spec.n;
   config.seed = seed;
-  config.shards = spec.shards;
   SimWorld world(config);
 
   std::vector<RbcastModule*> rbcast;
@@ -199,9 +189,6 @@ FloodResult run_flood(const FloodSpec& spec, std::uint64_t seed) {
   result.packets_sent = world.packets_sent();
   result.packets_dropped = world.packets_dropped();
   result.deliveries = deliveries;
-  result.window_barriers = world.window_barriers();
-  result.merge_batches = world.merge_batches();
-  result.window_stalls = world.window_stalls();
   for (NodeId i = 0; i < spec.n; ++i) {
     result.retransmissions += rp2p[i]->retransmissions();
     result.messages_sent += rp2p[i]->messages_sent();
@@ -222,9 +209,6 @@ Json to_json(const FloodResult& r) {
   j.set("retransmissions", r.retransmissions);
   j.set("messages_sent", r.messages_sent);
   j.set("data_datagrams", r.data_datagrams);
-  j.set("window_barriers", r.window_barriers);
-  j.set("merge_batches", r.merge_batches);
-  j.set("window_stalls", r.window_stalls);
   j.set("wall_ms", r.wall_s * 1e3);
   j.set("events_per_sec", r.events_per_sec());
   j.set("packets_per_sec", r.packets_per_sec());
@@ -493,9 +477,8 @@ int main(int argc, char** argv) {
   Json meta = Json::object();
   meta.set("seed", seed);
   meta.set("repeat", repeat);
-  // The shard-speedup gate is hardware-conditional: on boxes with fewer
-  // than 4 cores the 4-shard run cannot be expected to beat serial, so the
-  // gate reads this and skips the floor (loudly) when under-provisioned.
+  // Wall-clock figures depend on the host; record its core count so a
+  // baseline says what it was measured on.
   meta.set("hardware_concurrency",
            static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   doc.set("bench", std::move(meta));
@@ -550,43 +533,6 @@ int main(int argc, char** argv) {
       sim_points.push(std::move(p));
     }
 
-    // Shard sweep: the batched saturate flood at every (nodes, shards)
-    // point.  Virtual counters must be IDENTICAL down the shard axis
-    // (byte-identity is the engine's contract; the gate enforces it on
-    // events/packets/deliveries/barriers), while events/sec should climb —
-    // the gate holds the largest point to a speedup floor when the host
-    // has enough cores.
-    Json shard_points = Json::array();
-    for (const std::size_t nodes : {3UL, 5UL, 8UL}) {
-      FloodSpec point;
-      point.n = nodes;
-      if (nodes > 5) {
-        point.rate_per_stack /= 2.0;
-        point.duration = kSecond / 2;
-      } else {
-        point.duration = kSecond;
-      }
-      for (const std::size_t shards : {1UL, 2UL, 4UL}) {
-        if (shards > nodes) continue;
-        FloodSpec sharded = point;
-        sharded.shards = shards;
-        const FloodResult r = best_of(sharded);
-        std::fprintf(stderr,
-                     "curve shards n=%-2zu s=%zu  %8.0f kev/s  "
-                     "%10llu events  %8llu barriers  %6llu stalls  (%.0f ms)\n",
-                     nodes, shards, r.events_per_sec() / 1e3,
-                     static_cast<unsigned long long>(r.events),
-                     static_cast<unsigned long long>(r.window_barriers),
-                     static_cast<unsigned long long>(r.window_stalls),
-                     r.wall_s * 1e3);
-        Json p = Json::object();
-        p.set("nodes", static_cast<std::uint64_t>(nodes));
-        p.set("shards", static_cast<std::uint64_t>(shards));
-        p.set("result", to_json(r));
-        shard_points.push(std::move(p));
-      }
-    }
-
     // rt/socket curve: real UDP datagrams on loopback, sendmmsg/recvmmsg
     // path vs the same protocol stack without batching.  Distinct port
     // ranges per point, so a lingering socket cannot collide.
@@ -625,7 +571,6 @@ int main(int argc, char** argv) {
 
     Json curve_doc = Json::object();
     curve_doc.set("sim", std::move(sim_points));
-    curve_doc.set("shards", std::move(shard_points));
     curve_doc.set("rt", std::move(rt_points));
     doc.set("curve", std::move(curve_doc));
   }

@@ -21,7 +21,6 @@
 //   perf_gate curve   --baseline BASELINE.json --current BENCH_engine.json
 //                     [--count-tol 0.25] [--min-throughput-ratio 0.35]
 //                     [--min-batch-datagram-ratio 3.0] [--min-rt-speedup 1.5]
-//                     [--min-shard-speedup 1.5]
 //       Gate the --curve output (throughput vs node count, batched vs
 //       unbatched, sim + rt/socket engines).  The default saturate
 //       workload's unbatched/batched datagram ratio must clear the
@@ -32,13 +31,7 @@
 //       work, and the batched/unbatched deliveries/sec speedup must clear
 //       --min-rt-speedup at the largest node count (a generous floor
 //       applies at smaller counts, where the socket path is not the
-//       bottleneck).  Shard points: virtual counters must be EXACTLY equal
-//       down the shard axis (shard count must never change results), the
-//       serial point's counters sit in the baseline band, and the largest
-//       (nodes, shards) point must clear --min-shard-speedup in events/sec
-//       over its serial run — enforced only when the recorded
-//       hardware_concurrency covers the shard count (a 1-core box cannot
-//       speed up; the skip is loud).
+//       bottleneck).
 //
 // All comparisons are against *virtual-world* metrics except events_per_sec
 // / packets_per_sec, which are wall-clock.
@@ -284,20 +277,9 @@ const Json* find_point(const Json& points, std::int64_t nodes) {
   return nullptr;
 }
 
-/// Finds the shard-sweep point with the given (nodes, shards) key.
-const Json* find_shard_point(const Json& points, std::int64_t nodes,
-                             std::int64_t shards) {
-  for (const Json& p : points.items()) {
-    if (p.at("nodes").as_int() == nodes && p.at("shards").as_int() == shards) {
-      return &p;
-    }
-  }
-  return nullptr;
-}
-
 int gate_curve(const Json& baseline, const Json& current, double count_tol,
                double min_ratio, double min_dgram_ratio,
-               double min_rt_speedup, double min_shard_speedup) {
+               double min_rt_speedup) {
   Gate gate;
   const Json* base_curve = baseline.find("curve");
   const Json* cur_curve = current.find("curve");
@@ -389,109 +371,6 @@ int gate_curve(const Json& baseline, const Json& current, double count_tol,
     }
   }
 
-  // Shard points.  Three layers: (1) every counter that is a pure function
-  // of the workload must be EXACTLY equal down the shard axis — the sharded
-  // engine's byte-identity contract, checked inside the current run so it
-  // can never be masked by baseline drift; (2) the serial point's counters
-  // sit inside the baseline band like any other sim point; (3) the largest
-  // sweep point must clear the events/sec speedup floor over its own serial
-  // run — wall-clock, and only meaningful when the host has the cores.
-  if (const Json* base_shards = base_curve->find("shards")) {
-    const Json* cur_shards = cur_curve->find("shards");
-    if (cur_shards == nullptr) {
-      gate.fail("curve.shards", "current results have no shard sweep (run "
-                                "bench_engine_throughput --curve)");
-    } else {
-      static constexpr const char* kExactMetrics[] = {
-          "events", "packets_sent", "deliveries", "messages_sent",
-          "data_datagrams", "retransmissions", "window_barriers",
-          "merge_batches"};
-      std::int64_t max_nodes = 0, max_shards = 0;
-      for (const Json& bp : base_shards->items()) {
-        const std::int64_t nodes = bp.at("nodes").as_int();
-        const std::int64_t shards = bp.at("shards").as_int();
-        if (nodes > max_nodes ||
-            (nodes == max_nodes && shards > max_shards)) {
-          max_nodes = nodes;
-          max_shards = shards;
-        }
-        const std::string where = "curve.shards/n=" + std::to_string(nodes) +
-                                  "/s=" + std::to_string(shards);
-        const Json* cp = find_shard_point(*cur_shards, nodes, shards);
-        if (cp == nullptr) {
-          gate.fail(where, "point missing from current curve");
-          continue;
-        }
-        const Json& cr = cp->at("result");
-        if (shards == 1) {
-          // The serial run anchors the band; sharded runs are then pinned
-          // to it exactly, so one band per node count suffices.
-          const Json& br = bp.at("result");
-          for (const char* metric : {"events", "packets_sent", "deliveries"}) {
-            gate.check_band(where, metric,
-                            static_cast<double>(br.at(metric).as_int()),
-                            static_cast<double>(cr.at(metric).as_int()),
-                            count_tol);
-          }
-        } else {
-          const Json* serial = find_shard_point(*cur_shards, nodes, 1);
-          if (serial == nullptr) {
-            gate.fail(where, "serial (shards=1) point missing from current "
-                             "curve");
-            continue;
-          }
-          const Json& sr = serial->at("result");
-          for (const char* metric : kExactMetrics) {
-            const std::int64_t sv = sr.at(metric).as_int();
-            const std::int64_t cv = cr.at(metric).as_int();
-            if (sv != cv) {
-              gate.fail(where, std::string(metric) + " diverged from the "
-                                   "serial run (" + std::to_string(sv) +
-                                   " vs " + std::to_string(cv) +
-                                   ") — shard count must never change "
-                                   "results");
-            }
-          }
-        }
-      }
-      // Speedup floor at the largest sweep point, hardware-conditional.
-      const Json* top = find_shard_point(*cur_shards, max_nodes, max_shards);
-      const Json* top_serial = find_shard_point(*cur_shards, max_nodes, 1);
-      if (max_shards > 1 && top != nullptr && top_serial != nullptr) {
-        std::int64_t cores = 0;
-        if (const Json* bench = current.find("bench")) {
-          if (const Json* hc = bench->find("hardware_concurrency")) {
-            cores = hc->as_int();
-          }
-        }
-        const std::string where = "curve.shards/n=" +
-                                  std::to_string(max_nodes) + "/s=" +
-                                  std::to_string(max_shards);
-        const double serial_tput =
-            top_serial->at("result").at("events_per_sec").as_double();
-        const double sharded_tput =
-            top->at("result").at("events_per_sec").as_double();
-        const double speedup =
-            serial_tput > 0.0 ? sharded_tput / serial_tput : 0.0;
-        if (cores < max_shards) {
-          std::fprintf(stderr,
-                       "SKIP %s: shard speedup floor needs %lld cores, host "
-                       "recorded %lld (measured %.2fx, not enforced)\n",
-                       where.c_str(),
-                       static_cast<long long>(max_shards),
-                       static_cast<long long>(cores), speedup);
-        } else if (speedup < min_shard_speedup) {
-          gate.fail(where, "shard speedup " + std::to_string(speedup) +
-                               "x below floor " +
-                               std::to_string(min_shard_speedup) + "x");
-        } else {
-          std::fprintf(stderr, "OK   %s: shard speedup %.2fx (floor %.2fx)\n",
-                       where.c_str(), speedup, min_shard_speedup);
-        }
-      }
-    }
-  }
-
   // Rt points: wall-clock over real sockets, so nothing is compared against
   // the (machine-dependent) baseline numbers; the gate is internal to the
   // current run.  Baseline only fixes WHICH node counts must be present.
@@ -545,8 +424,7 @@ int usage(const char* argv0) {
       "              [--count-tol F] [--min-throughput-ratio F]\n"
       "  %s curve    --baseline BASELINE.json --current BENCH.json\n"
       "              [--count-tol F] [--min-throughput-ratio F]\n"
-      "              [--min-batch-datagram-ratio F] [--min-rt-speedup F]\n"
-      "              [--min-shard-speedup F]\n",
+      "              [--min-batch-datagram-ratio F] [--min-rt-speedup F]\n",
       argv0, argv0, argv0, argv0);
   return 2;
 }
@@ -562,7 +440,6 @@ int main(int argc, char** argv) {
   double min_ratio = 0.35;
   double min_dgram_ratio = 3.0;
   double min_rt_speedup = 1.5;
-  double min_shard_speedup = 1.5;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next_value = [&]() -> const char* {
@@ -587,8 +464,6 @@ int main(int argc, char** argv) {
       min_dgram_ratio = std::atof(v);
     } else if (arg == "--min-rt-speedup" && (v = next_value())) {
       min_rt_speedup = std::atof(v);
-    } else if (arg == "--min-shard-speedup" && (v = next_value())) {
-      min_shard_speedup = std::atof(v);
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       return usage(argv[0]);
@@ -629,7 +504,7 @@ int main(int argc, char** argv) {
         return gate_engine(*baseline, *current, count_tol, min_ratio);
       }
       return gate_curve(*baseline, *current, count_tol, min_ratio,
-                        min_dgram_ratio, min_rt_speedup, min_shard_speedup);
+                        min_dgram_ratio, min_rt_speedup);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perf_gate: %s\n", e.what());

@@ -49,9 +49,6 @@ int usage(const char* argv0) {
       "  --repeat K           run the whole campaign K times and fail\n"
       "                       unless every run's JSON document is\n"
       "                       byte-identical (sim-engine specs only)\n"
-      "  --sim-shards S       override simulator event-engine shards for\n"
-      "                       every sim run (results are byte-identical at\n"
-      "                       every value; default: each spec's own)\n"
       "  --threads T          worker threads (default: hardware)\n"
       "  --out FILE           write the results JSON there (default stdout)\n"
       "  --compact            compact JSON instead of pretty-printed\n",
@@ -70,7 +67,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed_base = 1;
   std::uint64_t repeat = 1;
   std::size_t threads = 0;
-  std::size_t sim_shards = 0;  // 0: each spec's own
   int indent = 2;
   std::optional<Engine> engine_override;
 
@@ -117,11 +113,6 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       repeat = std::strtoull(v, nullptr, 10);
       if (repeat == 0) return usage(argv[0]);
-    } else if (arg == "--sim-shards") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      sim_shards = std::strtoull(v, nullptr, 10);
-      if (sim_shards == 0) return usage(argv[0]);
     } else if (arg == "--threads") {
       const char* v = next_value();
       if (v == nullptr) return usage(argv[0]);
@@ -213,7 +204,6 @@ int main(int argc, char** argv) {
     options.seeds.push_back(seed_base + k);
   }
   options.threads = threads;
-  options.run.sim_shards = sim_shards;
   options.cancel = &g_cancel;
 
   const CampaignOutcome outcome = run_campaign(specs, options);

@@ -297,6 +297,7 @@ int run_agent(const AgentConfig& config) {
   report.set("socket_tx_datagrams", world.socket_tx_datagrams());
   report.set("socket_rx_syscalls", world.socket_rx_syscalls());
   report.set("socket_rx_datagrams", world.socket_rx_datagrams());
+  report.set("socket_tx_failures", world.socket_tx_failures());
   report.set("pending_calls", stack.pending_call_count());
 
   // Convergence witness, like the in-process harvest: the last update's

@@ -633,6 +633,8 @@ ScenarioResult ClusterSupervisor::Run::merge() {
     result.socket_tx_datagrams += top("socket_tx_datagrams");
     result.socket_rx_syscalls += top("socket_rx_syscalls");
     result.socket_rx_datagrams += top("socket_rx_datagrams");
+    result.socket_tx_failures =
+        result.socket_tx_failures.value_or(0) + top("socket_tx_failures");
     result.final_protocol.push_back(r.at("final_protocol").as_string());
 
     const std::vector<Json>& pairs = r.at("latency_pairs").items();
@@ -667,6 +669,7 @@ ScenarioResult ClusterSupervisor::Run::merge() {
     slim.set("socket_tx_datagrams", top("socket_tx_datagrams"));
     slim.set("socket_rx_syscalls", top("socket_rx_syscalls"));
     slim.set("socket_rx_datagrams", top("socket_rx_datagrams"));
+    slim.set("socket_tx_failures", top("socket_tx_failures"));
     slim.set("final_protocol", r.at("final_protocol").as_string());
     result.node_reports.push_back(std::move(slim));
   }

@@ -312,24 +312,39 @@ void ReplacementFacadeBase::perform_switch(const std::string& protocol,
 void ReplacementFacadeBase::perform_switch_from(const Unwrapped& u) {
   if (u.tag == kNewProtocolSync) {
     if (u.sn != seq_number_) {
-      // Stale refresh: another switch was ordered between this refresh's
+      // Stale refresh: another switch was delivered between this refresh's
       // launch and its delivery.  A change sent through an instance that is
       // no longer current may ride a channel a recovered stack never bound
       // (it entered at a later version), so performing it would fork the
-      // instance sequence between old members and the recovered stack.  The
-      // change order is the same on every stack that delivers it, so they
-      // all sit at the same seq_number_ here and the drop is uniform.  Any
-      // requester this refresh was launched for is either already served
-      // (it cancels on finalize) or still retrying; the responder relaunches
-      // under the current version for those still waiting.
+      // instance sequence between old members and the recovered stack.
+      // Every stack performs exactly one switch per version — the first
+      // delivered — and drops the rest.  Over an unordered inner service
+      // (rbcast) *which* refresh wins differs between stacks, so two
+      // refreshes launched under the same version (a requester that rotated
+      // responders) can each lose at their own responder.
       ++stale_syncs_dropped_;
       DPU_LOG(kInfo, "repl") << "s" << env().node_id()
                              << " dropping stale refresh switch (its sn "
                              << u.sn << " != " << seq_number_ << ")";
       if (u.responder == env().node_id()) {
+        refresh_inflight_ = false;
+        if (refresh_covers_inflight(u.sn)) {
+          // The refresh that won here re-instantiated the same protocol at
+          // the next version and noted these requesters' epochs at its
+          // switch point: it is their entry point too.  Serve them at its
+          // cut instead of launching yet another refresh past it — the
+          // requester must enter at the earliest refresh launched for it.
+          const std::uint64_t cut =
+              last_refresh_cut_ - std::min(last_refresh_cut_, log_trimmed_);
+          for (const StateRequest& req : inflight_requests_) {
+            send_snapshot(req.node, cut);
+          }
+          inflight_requests_.clear();
+          launch_refresh_switch();
+          return;
+        }
         // Requesters in the dropped batch were never served: requeue them
         // (dedup by node, keeping the highest epoch) and relaunch once.
-        refresh_inflight_ = false;
         for (StateRequest& req : inflight_requests_) {
           bool found = false;
           for (StateRequest& p : pending_requests_) {
@@ -349,6 +364,22 @@ void ReplacementFacadeBase::perform_switch_from(const Unwrapped& u) {
   } else {
     perform_switch_impl(u.protocol, u.params, nullptr);
   }
+}
+
+bool ReplacementFacadeBase::refresh_covers_inflight(
+    std::uint64_t stale_sn) const {
+  if (stale_sn + 1 != seq_number_ || last_refresh_sn_ != seq_number_) {
+    return false;
+  }
+  for (const StateRequest& req : inflight_requests_) {
+    const bool noted = std::any_of(
+        last_refresh_epochs_.begin(), last_refresh_epochs_.end(),
+        [&req](const auto& e) {
+          return e.first == req.node && e.second >= req.epoch;
+        });
+    if (!noted) return false;
+  }
+  return true;
 }
 
 void ReplacementFacadeBase::perform_switch_impl(const std::string& protocol,
@@ -377,6 +408,11 @@ void ReplacementFacadeBase::perform_switch_impl(const std::string& protocol,
   const std::size_t cut = replay_log_.size();
 
   ++seq_number_;  // line 11
+  if (refresh) {
+    last_refresh_sn_ = seq_number_;
+    last_refresh_cut_ = log_trimmed_ + cut;
+    last_refresh_epochs_ = sync->sync_epochs;
+  }
   DPU_LOG(kInfo, "repl") << "s" << env().node_id() << " switching "
                          << fcfg_.inner_service << " to " << protocol
                          << " (sn=" << seq_number_

@@ -446,6 +446,11 @@ class ReplacementFacadeBase : public Module, public UpdateMechanism {
   /// Responder: coordinates one refresh switch covering every pending
   /// request (at most one in flight; re-launched when more arrive).
   void launch_refresh_switch();
+  /// Responder, on its own refresh arriving stale (launched under
+  /// `stale_sn`): whether the refresh that produced the current version
+  /// started right after `stale_sn` and noted every in-flight requester's
+  /// epoch, so that switch can serve as their entry point.
+  [[nodiscard]] bool refresh_covers_inflight(std::uint64_t stale_sn) const;
   /// Responder: sends header + chunked entries [0, cut) to `dst`.
   void send_snapshot(NodeId dst, std::size_t cut);
   /// Appends to the replay log, trimming to replay_log_cap (kLog only).
@@ -493,6 +498,12 @@ class ReplacementFacadeBase : public Module, public UpdateMechanism {
   std::vector<StateRequest> pending_requests_;
   std::vector<StateRequest> inflight_requests_;
   bool refresh_inflight_ = false;
+  /// The last refresh switch this stack performed: the version it
+  /// produced, its snapshot cut (counting trimmed entries, so later trims
+  /// do not shift it) and the requester epochs it noted.
+  std::uint64_t last_refresh_sn_ = 0;
+  std::uint64_t last_refresh_cut_ = 0;
+  std::vector<std::pair<NodeId, std::uint64_t>> last_refresh_epochs_;
 
   std::uint64_t snapshots_served_ = 0;
   std::uint64_t sync_retries_ = 0;

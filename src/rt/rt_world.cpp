@@ -213,14 +213,18 @@ class RtWorld::RtHost final : public HostEnv {
   };
 
   void send_now(const sockaddr_in& addr, const Bytes& data) {
-    ::sendto(fd_, data.data(), data.size(), 0,
-             reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-    world_->note_socket_tx(1, 1);
+    const ssize_t sent =
+        ::sendto(fd_, data.data(), data.size(), 0,
+                 reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+    world_->note_socket_tx(1, sent >= 0 ? 1 : 0);
+    if (sent < 0) world_->note_socket_tx_failure();
   }
 
   /// Drains the staged tx queue with as few syscalls as the platform
   /// allows.  Runs on the loop thread (and once more on loop exit) with
-  /// mutex_ released; send failures get UDP loss semantics.
+  /// mutex_ released.  A datagram the kernel refuses gets UDP loss
+  /// semantics: it is counted as a failure and skipped, and the rest of
+  /// the batch still goes out.
   void flush_socket_tx() {
     std::vector<TxDatagram> batch;
     {
@@ -252,8 +256,14 @@ class RtWorld::RtHost final : public HostEnv {
         const int sent = ::sendmmsg(fd_, msgs.data() + done,
                                     static_cast<unsigned>(n - done), 0);
         world_->note_socket_tx(1, sent > 0 ? sent : 0);
-        if (sent <= 0) break;  // error: drop the rest of the chunk
-        done += static_cast<std::size_t>(sent);
+        if (sent > 0) {
+          done += static_cast<std::size_t>(sent);
+        } else {
+          // sendmmsg reports an error only for the first datagram it
+          // could not send.
+          world_->note_socket_tx_failure();
+          ++done;
+        }
       }
     }
 #else

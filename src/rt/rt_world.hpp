@@ -204,6 +204,11 @@ class RtWorld final : public WorldControl {
   [[nodiscard]] std::uint64_t socket_rx_datagrams() const {
     return socket_rx_datagrams_.load(std::memory_order_relaxed);
   }
+  /// Datagrams the kernel refused (sendto/sendmmsg error).  They are lost
+  /// like a dropped UDP datagram and do not count in socket_tx_datagrams.
+  [[nodiscard]] std::uint64_t socket_tx_failures() const {
+    return socket_tx_failures_.load(std::memory_order_relaxed);
+  }
 
   /// Agent mode: this process hosts only config.local_node's stack.
   [[nodiscard]] bool agent_mode() const {
@@ -271,6 +276,9 @@ class RtWorld final : public WorldControl {
     socket_tx_syscalls_.fetch_add(syscalls, std::memory_order_relaxed);
     socket_tx_datagrams_.fetch_add(datagrams, std::memory_order_relaxed);
   }
+  void note_socket_tx_failure() {
+    socket_tx_failures_.fetch_add(1, std::memory_order_relaxed);
+  }
   void note_socket_rx(std::uint64_t syscalls, std::uint64_t datagrams) {
     socket_rx_syscalls_.fetch_add(syscalls, std::memory_order_relaxed);
     socket_rx_datagrams_.fetch_add(datagrams, std::memory_order_relaxed);
@@ -282,6 +290,7 @@ class RtWorld final : public WorldControl {
   std::atomic<std::uint64_t> socket_tx_datagrams_{0};
   std::atomic<std::uint64_t> socket_rx_syscalls_{0};
   std::atomic<std::uint64_t> socket_rx_datagrams_{0};
+  std::atomic<std::uint64_t> socket_tx_failures_{0};
 };
 
 }  // namespace dpu

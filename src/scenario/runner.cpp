@@ -173,9 +173,9 @@ ScenarioResult run_on_world(WorldControl& world, const ScenarioSpec& spec,
   result.collector = std::make_unique<LatencyCollector>(options.bucket_width);
 
   // One collector per node, merged into result.collector post-run in node
-  // order: probes then write single-writer state on the sharded simulator,
-  // and the fixed merge order keeps the float accumulation — and therefore
-  // the result document — byte-identical at every shard count.
+  // order: the fixed merge order fixes the float accumulation order — and
+  // therefore the result document's bytes — independently of how deliveries
+  // at different nodes interleave.
   std::vector<std::unique_ptr<LatencyCollector>> node_collectors;
   node_collectors.reserve(spec.n);
   for (NodeId i = 0; i < spec.n; ++i) {
@@ -530,23 +530,20 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, std::uint64_t seed,
     result.socket_tx_datagrams = world.socket_tx_datagrams();
     result.socket_rx_syscalls = world.socket_rx_syscalls();
     result.socket_rx_datagrams = world.socket_rx_datagrams();
+    result.socket_tx_failures = world.socket_tx_failures();
     return result;
   }
 
   SimConfig sim;
   sim.num_stacks = spec.n;
   sim.seed = seed;
-  sim.shards = options.sim_shards != 0 ? options.sim_shards : spec.sim_shards;
   sim.net.drop_probability = spec.base_drop;
   sim.net.duplicate_probability = spec.base_duplicate;
   sim.stack_cost.service_hop_cost = spec.hop_cost;
   sim.stack_cost.module_create_cost = spec.module_create_cost;
   SimWorld world(sim, &library, &trace_recorder);
-  ScenarioResult result = run_on_world(world, spec, seed, options,
-                                       stack_options, trace_recorder);
-  result.sim_window_barriers = world.window_barriers();
-  result.sim_merge_batches = world.merge_batches();
-  return result;
+  return run_on_world(world, spec, seed, options, stack_options,
+                      trace_recorder);
 }
 
 // ---------------------------------------------------------------------------
@@ -626,8 +623,9 @@ Json ScenarioResult::to_json() const {
   counts.set("socket_tx_datagrams", socket_tx_datagrams);
   counts.set("socket_rx_syscalls", socket_rx_syscalls);
   counts.set("socket_rx_datagrams", socket_rx_datagrams);
-  counts.set("sim_window_barriers", sim_window_barriers);
-  counts.set("sim_merge_batches", sim_merge_batches);
+  if (socket_tx_failures) {
+    counts.set("socket_tx_failures", *socket_tx_failures);
+  }
   counts.set("virtual_time_ns", total_virtual_time);
   j.set("counts", std::move(counts));
 

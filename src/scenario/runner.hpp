@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -51,12 +52,6 @@ struct RunOptions {
   /// mistaken for quiescence.
   Duration rt_drain_cap = 10 * kSecond;
   Duration rt_quiesce_window = 1500 * kMillisecond;
-  /// Simulator event-engine shards.  0 defers to the spec's `sim_shards`;
-  /// any other value overrides it without touching the spec — campaign
-  /// documents embed the spec verbatim, so an override (CLI `--sim-shards`,
-  /// the byte-identity tests) keeps whole documents comparable across
-  /// shard counts.  Results are byte-identical at every value.
-  std::size_t sim_shards = 0;
 };
 
 /// One executed update, reconstructed from the generic control-plane trace
@@ -111,11 +106,9 @@ struct ScenarioResult {
   std::uint64_t socket_tx_datagrams = 0;
   std::uint64_t socket_rx_syscalls = 0;
   std::uint64_t socket_rx_datagrams = 0;
-  /// Sharded-simulator round counters (0 on rt runs).  Both are pure
-  /// functions of event timings — identical at every shard count — which
-  /// is why they may live in the byte-compared result document.
-  std::uint64_t sim_window_barriers = 0;
-  std::uint64_t sim_merge_batches = 0;
+  /// Datagrams the kernel refused to send (rt and proc only; absent on the
+  /// simulator, which has no sockets, so sim documents keep their keys).
+  std::optional<std::uint64_t> socket_tx_failures;
   Duration total_virtual_time = 0;
   std::set<NodeId> crashed;     ///< crashed and not recovered by run end
   std::set<NodeId> recovered;   ///< crash-recovered during the run

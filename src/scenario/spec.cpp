@@ -417,12 +417,6 @@ std::vector<std::string> ScenarioSpec::validate() const {
     problem("fd_timeout must exceed fd_heartbeat (a timeout shorter than "
             "one heartbeat interval suspects every correct peer)");
   }
-
-  if (sim_shards == 0) problem("sim_shards must be >= 1 (use 1 for serial)");
-  if (sim_shards > n) {
-    problem("sim_shards exceeds n (shards own node subsets; extras would "
-            "idle)");
-  }
   return problems;
 }
 
@@ -580,10 +574,6 @@ Json ScenarioSpec::to_json() const {
   if (!rbcast_relay) j.set("rbcast_relay", rbcast_relay);
   if (rt_sockets) j.set("rt_sockets", rt_sockets);
 
-  // Off the wire at the default: sharding does not change results, and
-  // leaving it out keeps pre-existing spec documents byte-stable.
-  if (sim_shards != 1) j.set("sim_shards", sim_shards);
-
   j.set("max_retransmissions", max_retransmissions);
   return j;
 }
@@ -620,7 +610,7 @@ ScenarioSpec ScenarioSpec::from_json(const Json& j) {
               "net", "workload", "crashes", "recoveries", "late_joins",
               "partitions", "loss_windows", "updates", "policies", "cost",
               "fd_heartbeat_ns", "fd_timeout_ns", "rbcast_relay",
-              "rt_sockets", "sim_shards", "max_retransmissions"});
+              "rt_sockets", "max_retransmissions"});
   ScenarioSpec spec;
   if (const Json* v = j.find("name")) spec.name = v->as_string();
   if (const Json* v = j.find("description")) spec.description = v->as_string();
@@ -808,11 +798,6 @@ ScenarioSpec ScenarioSpec::from_json(const Json& j) {
     spec.rbcast_relay = v->as_bool();
   }
   if (const Json* v = j.find("rt_sockets")) spec.rt_sockets = v->as_bool();
-  if (const Json* v = j.find("sim_shards")) {
-    const std::int64_t raw = v->as_int();
-    if (raw < 1) throw std::runtime_error("scenario: sim_shards < 1");
-    spec.sim_shards = static_cast<std::size_t>(raw);
-  }
   if (const Json* v = j.find("max_retransmissions")) {
     const std::int64_t raw = v->as_int();
     if (raw < 0) throw std::runtime_error("scenario: max_retransmissions < 0");

@@ -9,21 +9,12 @@
 namespace dpu {
 
 namespace {
-/// Initial event-heap capacity (split across shards).  Saturated runs hold
+/// Initial event-heap capacity.  Saturated runs hold
 /// tens of thousands of in-flight events; reserving up front keeps the hot
 /// loop free of vector growth reallocations from the first packet on.
 constexpr std::size_t kHeapReserve = 1 << 14;
 
 constexpr TimePoint kInfTime = std::numeric_limits<TimePoint>::max();
-
-/// The shard whose window is executing on this thread (engine-identified:
-/// nested worlds or a world driven from inside another world's handler
-/// resolve their own clocks, not the enclosing one's).
-struct TlsShardRef {
-  const void* world = nullptr;
-  std::size_t index = 0;
-};
-thread_local TlsShardRef t_shard{};
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -38,7 +29,7 @@ class SimWorld::SimHost final : public HostEnv {
   /// Crash-recovery reset: the host object survives (HostEnv references
   /// held by long-lived observers stay valid) but everything of the old
   /// incarnation is dropped.  The caller must already have purged this
-  /// node's events from its shard heap — otherwise a stale timer event
+  /// node's events from the heap — otherwise a stale timer event
   /// could resolve against a freshly armed cell of the new incarnation.
   void reset_for_recovery(std::uint32_t incarnation, std::uint64_t seed) {
     incarnation_ = incarnation;
@@ -54,10 +45,10 @@ class SimWorld::SimHost final : public HostEnv {
     return world_->hosts_.size();
   }
   [[nodiscard]] TimePoint now() const override {
-    return world_->current_now();
+    return world_->now();
   }
   [[nodiscard]] TimePoint busy_now() const override {
-    return std::max(world_->current_now(), world_->busy_until_[node_].v);
+    return std::max(world_->now(), world_->busy_until_[node_]);
   }
 
   // Timer callbacks live in a free-list pool of cells; the event carries
@@ -80,7 +71,7 @@ class SimWorld::SimHost final : public HostEnv {
     const TimerId id =
         (static_cast<TimerId>(cell.generation) << 32) | (slot + 1);
     world_->push_timer_event(
-        world_->current_now() + std::max<Duration>(after, 0), node_, id);
+        world_->now() + std::max<Duration>(after, 0), node_, id);
     return id;
   }
 
@@ -103,7 +94,7 @@ class SimWorld::SimHost final : public HostEnv {
   }
 
   void post(std::function<void()> fn) override {
-    world_->push_event(world_->current_now(), node_, std::move(fn));
+    world_->push_event(world_->now(), node_, std::move(fn));
   }
 
   [[nodiscard]] Rng& rng() override { return rng_; }
@@ -170,8 +161,8 @@ class SimWorld::NodeTraceBuf final : public TraceSink {
   /// Outside a run the buffer is transparent: events reach the real sink
   /// immediately and in emission order, so setup-time traces (module
   /// creation, binds) are observable without running the world.  During a
-  /// run `direct` is null and events buffer here, single-writer, until
-  /// flush_trace merges them placement-independently.
+  /// run `direct` is null and events buffer here until flush_trace merges
+  /// them in a fixed order.
   TraceSink* direct = nullptr;
   std::vector<TraceEvent> events;
 
@@ -193,29 +184,14 @@ SimWorld::SimWorld(SimConfig config, const ProtocolLibrary* library,
     : config_(config), library_(library), trace_(trace) {
   const std::size_t n = config_.num_stacks;
   assert(n > 0);
-  num_shards_ = std::clamp<std::size_t>(config_.shards, 1, n);
   // A packet sent at time u is charged send_cost >= send_cost_fixed before
   // its departure time is computed, so it delivers no earlier than
   // u + send_cost_fixed + min_latency: that sum is a safe window width.
-  // Clamped to 1ns for degenerate all-zero models — such a window still
-  // yields correct (deterministic per shard count) execution, but cross-
-  // shard-count byte identity is only guaranteed when the real lookahead
-  // is positive.
+  // Clamped to 1ns for degenerate all-zero models.
   lookahead_ = std::max<Duration>(
       1, config_.net.min_latency + config_.net.send_cost_fixed);
-  shards_.reserve(num_shards_);
-  for (std::size_t q = 0; q < num_shards_; ++q) {
-    auto s = std::make_unique<Shard>();
-    s->owner = this;
-    s->index = q;
-    s->heap.reserve(kHeapReserve / num_shards_ + 1);
-    s->outbox.resize(num_shards_);
-    shards_.push_back(std::move(s));
-  }
-  driver_outbox_.resize(num_shards_);
-  barrier_ = std::make_unique<std::barrier<>>(
-      static_cast<std::ptrdiff_t>(num_shards_));
-  busy_until_.assign(n, PaddedTime{});
+  heap_.reserve(kHeapReserve);
+  busy_until_.assign(n, 0);
   crashed_.assign(n, false);
   link_rngs_.reset(n, [&](std::size_t i) {
     return Rng::substream(config_.seed, 1'000'000 + i);
@@ -241,42 +217,26 @@ SimWorld::SimWorld(SimConfig config, const ProtocolLibrary* library,
 }
 
 SimWorld::~SimWorld() {
-  // Destroy stacks while the engine state (busy_until_, link tables,
-  // shards) is still alive: module stop() handlers send packets and charge
-  // CPU costs through their host on the way down.  Their traces flow
-  // straight to the sink (the buffers are transparent between runs), but
-  // flush once more in case a run was abandoned mid-job.
+  // Destroy stacks while the engine state (busy_until_, link tables, heap)
+  // is still alive: module stop() handlers send packets and charge CPU
+  // costs through their host on the way down.  Their traces flow straight
+  // to the sink (the buffers are transparent between runs), but flush once
+  // more in case a run was abandoned mid-job.
   stacks_.clear();
   flush_trace();
-  if (!workers_.empty()) {
-    shutdown_.store(true, std::memory_order_release);
-    job_epoch_.fetch_add(1, std::memory_order_release);
-    job_epoch_.notify_all();
-    for (std::thread& w : workers_) w.join();
-    workers_.clear();
-  }
   hosts_.clear();
 }
 
-TimePoint SimWorld::current_now() const {
-  // Inside a shard's execution window this thread's clock is that shard's;
-  // everywhere else (setup, at() closures, between runs) it is the driver's.
-  if (t_shard.world == this) return shards_[t_shard.index]->now;
-  return driver_now_;
+void SimWorld::push_heap(Event ev) {
+  heap_.push_back(ev);
+  std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
 }
 
-TimePoint SimWorld::now() const { return current_now(); }
-
-void SimWorld::push_heap(Shard& s, Event ev) {
-  s.heap.push_back(ev);
-  std::push_heap(s.heap.begin(), s.heap.end(), EventAfter{});
-}
-
-/// Replace-top requeue: restores the heap property after heap[0] was
+/// Replace-top requeue: restores the heap property after heap_[0] was
 /// re-stamped in place (one sift-down instead of a pop+push pair).
-void SimWorld::sift_down_root(Shard& s) {
+void SimWorld::sift_down_root() {
   const EventAfter after{};
-  auto& heap = s.heap;
+  auto& heap = heap_;
   const std::size_t n = heap.size();
   const Event v = heap[0];
   std::size_t i = 0;
@@ -292,61 +252,55 @@ void SimWorld::sift_down_root(Shard& s) {
   heap[i] = v;
 }
 
-SimWorld::Event SimWorld::pop_heap_top(Shard& s) {
-  std::pop_heap(s.heap.begin(), s.heap.end(), EventAfter{});
-  const Event top = s.heap.back();
-  s.heap.pop_back();
+SimWorld::Event SimWorld::pop_heap_top() {
+  std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
+  const Event top = heap_.back();
+  heap_.pop_back();
   return top;
 }
 
 void SimWorld::push_event(TimePoint t, NodeId node, std::function<void()> fn,
                           EventKind kind) {
   assert(node < hosts_.size());
-  Shard& s = *shards_[shard_of(node)];
   Event ev{};
   ev.time = t;
-  ev.seq = s.next_seq++;
+  ev.seq = next_seq_++;
   ev.node = node;
   ev.kind = kind;
-  ev.att.pool = s.closures.acquire(std::move(fn));
-  push_heap(s, ev);
+  ev.att.pool = closures_.acquire(std::move(fn));
+  push_heap(ev);
 }
 
-void SimWorld::push_packet_event(Shard& s, TimePoint t, NodeId dst, NodeId src,
+void SimWorld::push_packet_event(TimePoint t, NodeId dst, NodeId src,
                                  Payload payload) {
   Event ev{};
   ev.time = t;
-  ev.seq = s.next_seq++;
+  ev.seq = next_seq_++;
   ev.node = dst;
   ev.kind = EventKind::kPacket;
   ev.att.src = src;
-  ev.att.pool = s.payloads.acquire(std::move(payload));
-  push_heap(s, ev);
+  ev.att.pool = payloads_.acquire(std::move(payload));
+  push_heap(ev);
 }
 
 void SimWorld::push_timer_event(TimePoint t, NodeId node, TimerId id) {
-  Shard& s = *shards_[shard_of(node)];
   Event ev{};
   ev.time = t;
-  ev.seq = s.next_seq++;
+  ev.seq = next_seq_++;
   ev.node = node;
   ev.kind = EventKind::kTimer;
   ev.timer = id;
-  push_heap(s, ev);
+  push_heap(ev);
 }
 
 void SimWorld::at(TimePoint t, std::function<void()> fn) {
-  assert(t >= current_now());
-  // Driver events are coordinator state: legal from setup code, from other
-  // driver closures, and from driver steps — never from a node handler
-  // running inside a shard window on a worker thread.
-  assert(t_shard.world != this || num_shards_ == 1);
+  assert(t >= now());
   driver_heap_.push_back(DriverEvent{t, driver_next_seq_++, std::move(fn)});
   std::push_heap(driver_heap_.begin(), driver_heap_.end(), DriverAfter{});
 }
 
 void SimWorld::at_node(TimePoint t, NodeId node, std::function<void()> fn) {
-  assert(t >= current_now());
+  assert(t >= now());
   assert(node < hosts_.size());
   push_event(t, node, std::move(fn), EventKind::kDriver);
 }
@@ -354,7 +308,7 @@ void SimWorld::at_node(TimePoint t, NodeId node, std::function<void()> fn) {
 void SimWorld::run_on_node(NodeId node, std::function<void()> fn) {
   assert(node < hosts_.size());
   (void)node;
-  fn();  // driver context: shards are parked at a barrier (or not running)
+  fn();
 }
 
 void SimWorld::crash(NodeId node) {
@@ -366,37 +320,27 @@ void SimWorld::crash(NodeId node) {
 }
 
 /// Removes every pending event belonging to `node`'s dying incarnation: its
-/// timers and module-posted closures in its shard heap (their captures
-/// dangle once the Stack is destroyed — and a stale timer event could
-/// collide with a (slot, generation) pair the new incarnation hands out
-/// again), and packets in flight to it, both heaped and still sitting in
-/// mailbox outboxes.  Driver control events (kDriver) are deliberately
-/// kept: they belong to the scenario schedule, not to the incarnation, so
-/// an update planned for after the recovery still fires.  Linear scan +
-/// re-heapify — recovery is a rare fault event, not a hot path.
+/// timers and module-posted closures (their captures dangle once the Stack
+/// is destroyed — and a stale timer event could collide with a (slot,
+/// generation) pair the new incarnation hands out again), and packets in
+/// flight to it, both heaped and still pending.  Driver control events
+/// (kDriver) are deliberately kept: they belong to the scenario schedule,
+/// not to the incarnation, so an update planned for after the recovery
+/// still fires.  Linear scan + re-heapify — recovery is a rare fault event,
+/// not a hot path.
 void SimWorld::purge_node_events(NodeId node) {
-  Shard& s = *shards_[shard_of(node)];
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < s.heap.size(); ++i) {
-    if (s.heap[i].node == node && s.heap[i].kind != EventKind::kDriver) {
-      discard(s, s.heap[i]);
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    if (heap_[i].node == node && heap_[i].kind != EventKind::kDriver) {
+      discard(heap_[i]);
     } else {
-      s.heap[kept++] = s.heap[i];
+      heap_[kept++] = heap_[i];
     }
   }
-  s.heap.resize(kept);
-  std::make_heap(s.heap.begin(), s.heap.end(), EventAfter{});
-  // In-flight mailbox packets to the node can only sit in its own shard's
-  // inbox rows (one per producer, plus the driver's).
-  const std::size_t q = shard_of(node);
-  auto drop_row = [node](std::vector<MailboxEntry>& row) {
-    row.erase(std::remove_if(
-                  row.begin(), row.end(),
-                  [node](const MailboxEntry& e) { return e.dst == node; }),
-              row.end());
-  };
-  for (auto& p : shards_) drop_row(p->outbox[q]);
-  drop_row(driver_outbox_[q]);
+  heap_.resize(kept);
+  std::make_heap(heap_.begin(), heap_.end(), EventAfter{});
+  std::erase_if(pending_,
+                [node](const PendingPacket& p) { return p.dst == node; });
 }
 
 void SimWorld::recover(NodeId node) {
@@ -418,7 +362,7 @@ void SimWorld::recover(NodeId node) {
                         : nullptr;
   stacks_[node] = std::make_unique<Stack>(*hosts_[node], library_, sink);
   stacks_[node]->set_cost_model(config_.stack_cost);
-  busy_until_[node].v = driver_now_;
+  busy_until_[node] = driver_now_;
   crashed_[node] = false;
   stacks_[node]->trace(TraceKind::kStackRecovered, "", "",
                        "incarnation=" + std::to_string(incarnation));
@@ -443,17 +387,16 @@ void SimWorld::set_link_fault(NodeId src, NodeId dst,
 void SimWorld::do_send_packet(NodeId src, NodeId dst, Payload data) {
   assert(src < hosts_.size() && dst < hosts_.size());
   if (crashed_[src]) return;  // dead stacks emit nothing
-  Shard& ss = *shards_[shard_of(src)];
-  ++ss.packets_sent;
+  ++packets_sent_;
   const auto& net = config_.net;
   // Sender-side CPU cost (serialization + syscall era-equivalent).
   do_charge(src, net.send_cost(data.size()));
   if (crashed_[dst]) {
-    ++ss.packets_dropped;
+    ++packets_dropped_;
     return;
   }
   if (link_filter_ && !link_filter_(src, dst)) {
-    ++ss.packets_dropped;
+    ++packets_dropped_;
     return;
   }
   // Directional per-link fault overrides replace the world-wide loss model
@@ -464,7 +407,7 @@ void SimWorld::do_send_packet(NodeId src, NodeId dst, Payload data) {
       fault != nullptr ? fault->duplicate : net.duplicate_probability;
   Rng& rng = link_rngs_.at(src, dst);
   if (rng.chance(drop_p)) {
-    ++ss.packets_dropped;
+    ++packets_dropped_;
     return;
   }
   const int copies = rng.chance(dup_p) ? 2 : 1;
@@ -472,17 +415,11 @@ void SimWorld::do_send_packet(NodeId src, NodeId dst, Payload data) {
   // so far in this event (store-and-forward processor model): CPU costs on
   // the send path are part of the message's latency, not just of later
   // events' queueing.
-  const TimePoint departure =
-      std::max(current_now(), busy_until_[src].v);
+  const TimePoint departure = std::max(now(), busy_until_[src]);
   const Duration extra =
       fault != nullptr ? std::max<Duration>(fault->extra_latency, 0) : 0;
-  // Every copy goes through the destination shard's mailbox — even a
-  // self-send.  A same-shard shortcut would make per-node arrival order
-  // depend on which sources happen to share the shard, which is exactly
-  // the placement dependence the mailbox merge exists to eliminate.
-  std::vector<MailboxEntry>& out =
-      t_shard.world == this ? ss.outbox[shard_of(dst)]
-                            : driver_outbox_[shard_of(dst)];
+  // Every copy, self-sends included, waits in the pending buffer for the
+  // next window start (see the header comment).
   std::uint64_t& link_seq = link_seqs_.at(src, dst);
   for (int c = 0; c < copies; ++c) {
     const Duration latency =
@@ -490,29 +427,29 @@ void SimWorld::do_send_packet(NodeId src, NodeId dst, Payload data) {
         static_cast<Duration>(rng.uniform_u64(static_cast<std::uint64_t>(
             net.max_latency - net.min_latency + 1)));
     // Duplicates share the same immutable buffer; no byte copy per copy.
-    out.push_back(MailboxEntry{departure + latency + extra, src, dst,
-                               link_seq++, data});
+    pending_.push_back(PendingPacket{departure + latency + extra, src, dst,
+                                     link_seq++, data});
   }
 }
 
 void SimWorld::do_charge(NodeId node, Duration cost) {
   if (node == kNoNode || cost <= 0) return;
-  TimePoint& busy = busy_until_[node].v;
-  busy = std::max(busy, current_now()) + cost;
+  TimePoint& busy = busy_until_[node];
+  busy = std::max(busy, now()) + cost;
 }
 
-void SimWorld::dispatch(Shard& s, const Event& ev) {
+void SimWorld::dispatch(const Event& ev) {
   // Pool values are moved out *before* running handlers: a handler may push
   // new events, and an acquire can reallocate the pool's slot vector.
   switch (ev.kind) {
     case EventKind::kClosure:
     case EventKind::kDriver: {
-      const std::function<void()> fn = s.closures.release(ev.att.pool);
+      const std::function<void()> fn = closures_.release(ev.att.pool);
       fn();
       break;
     }
     case EventKind::kPacket: {
-      const Payload payload = s.payloads.release(ev.att.pool);
+      const Payload payload = payloads_.release(ev.att.pool);
       do_charge(ev.node, config_.net.recv_cost(payload.size()));
       hosts_[ev.node]->deliver(ev.att.src, payload);
       break;
@@ -523,14 +460,14 @@ void SimWorld::dispatch(Shard& s, const Event& ev) {
   }
 }
 
-void SimWorld::discard(Shard& s, const Event& ev) {
+void SimWorld::discard(const Event& ev) {
   switch (ev.kind) {
     case EventKind::kClosure:
     case EventKind::kDriver:
-      (void)s.closures.release(ev.att.pool);
+      (void)closures_.release(ev.att.pool);
       break;
     case EventKind::kPacket:
-      (void)s.payloads.release(ev.att.pool);
+      (void)payloads_.release(ev.att.pool);
       break;
     case EventKind::kTimer:
       break;  // the timer cell stays armed; crashed stacks never fire it
@@ -538,85 +475,65 @@ void SimWorld::discard(Shard& s, const Event& ev) {
 }
 
 // ---------------------------------------------------------------------------
-// Round engine
+// Window loop
 // ---------------------------------------------------------------------------
 
-void SimWorld::sync() {
-  if (num_shards_ > 1) barrier_->arrive_and_wait();
-}
-
-/// Merges this shard's inbox rows (one per producing shard, plus the
-/// driver's) into its heap.  Ordering is `(deliver_time, src, dst,
-/// link_seq)` — a pure function of the packets, independent of which shard
-/// produced them when — and insertion sequence numbers are assigned in that
-/// sorted order, so equal-time arrivals at one node tie-break identically
-/// at every shard count.
-void SimWorld::drain_inboxes(Shard& s) {
-  std::vector<MailboxEntry>& scratch = s.drain_scratch;
-  scratch.clear();
-  for (auto& p : shards_) {
-    std::vector<MailboxEntry>& row = p->outbox[s.index];
-    for (MailboxEntry& e : row) scratch.push_back(std::move(e));
-    row.clear();
-  }
-  std::vector<MailboxEntry>& drow = driver_outbox_[s.index];
-  for (MailboxEntry& e : drow) scratch.push_back(std::move(e));
-  drow.clear();
-  s.drained = scratch.size();
-  if (scratch.empty()) return;
-  std::sort(scratch.begin(), scratch.end(),
-            [](const MailboxEntry& a, const MailboxEntry& b) {
+/// Moves the pending packets into the heap in `(deliver_time, src, dst,
+/// link_seq)` order — a total order, since link_seq is unique per link — so
+/// insertion sequence numbers, and with them equal-time tie-breaks, depend
+/// only on the packets.
+void SimWorld::merge_pending() {
+  if (pending_.empty()) return;
+  std::sort(pending_.begin(), pending_.end(),
+            [](const PendingPacket& a, const PendingPacket& b) {
               if (a.time != b.time) return a.time < b.time;
               if (a.src != b.src) return a.src < b.src;
               if (a.dst != b.dst) return a.dst < b.dst;
               return a.link_seq < b.link_seq;
             });
-  for (MailboxEntry& e : scratch) {
-    // Entries earlier than the shard clock only exist under a degenerate
+  for (PendingPacket& p : pending_) {
+    // Packets earlier than the clock only exist under a degenerate
     // (clamped) lookahead; deliver them now rather than in the past.
-    push_packet_event(s, std::max(e.time, s.now), e.dst, e.src,
-                      std::move(e.payload));
+    push_packet_event(std::max(p.time, now_), p.dst, p.src,
+                      std::move(p.payload));
   }
-  scratch.clear();
+  pending_.clear();
 }
 
-/// Executes this shard's events with time < `h`.  Window-local guard order
-/// matches the serial engine: budget, then busy-deferral, then crash
-/// discard.
-void SimWorld::exec_window(Shard& s, TimePoint h, std::uint64_t budget) {
-  const TlsShardRef saved = t_shard;
-  t_shard = TlsShardRef{this, s.index};
+/// Executes node events with time < `h`, at most `budget` of them.  Guard
+/// order: budget, then busy-deferral, then crash discard.
+void SimWorld::exec_window(TimePoint h, std::uint64_t budget) {
+  in_window_ = true;
   std::uint64_t executed = 0;
-  while (!s.heap.empty()) {
-    Event& top = s.heap.front();
+  while (!heap_.empty()) {
+    Event& top = heap_.front();
     if (top.time >= h) break;
     if (executed >= budget) break;
-    if (!crashed_[top.node] && busy_until_[top.node].v > top.time) {
+    if (!crashed_[top.node] && busy_until_[top.node] > top.time) {
       // Processor model: a busy stack defers its events.  Requeue in place
       // with a single sift-down (replace-top) instead of a pop+push pair;
       // deferrals dominate heap traffic on a saturated run.
-      ++s.deferrals;
-      top.time = busy_until_[top.node].v;
-      top.seq = s.next_seq++;
-      sift_down_root(s);
+      ++deferrals_;
+      top.time = busy_until_[top.node];
+      top.seq = next_seq_++;
+      sift_down_root();
       continue;
     }
-    const Event ev = pop_heap_top(s);
+    const Event ev = pop_heap_top();
     if (crashed_[ev.node]) {
-      discard(s, ev);  // events of crashed stacks vanish
+      discard(ev);  // events of crashed stacks vanish
       continue;
     }
-    s.now = ev.time;
-    ++s.processed;
+    now_ = ev.time;
+    ++processed_;
     ++executed;
-    dispatch(s, ev);
+    dispatch(ev);
   }
-  if (executed == 0 && !s.heap.empty()) ++s.stalls;
-  t_shard = saved;
+  in_window_ = false;
 }
 
-/// Runs every due driver event on the coordinating thread (shards are
-/// parked at the barrier), including same-time events the handlers push.
+/// Runs every due driver event, including same-time events the handlers
+/// push.
 void SimWorld::run_driver_step(TimePoint t) {
   driver_now_ = t;
   while (!driver_heap_.empty() && driver_heap_.front().time <= t) {
@@ -626,145 +543,50 @@ void SimWorld::run_driver_step(TimePoint t) {
     ++driver_processed_;
     ev.fn();
   }
-  publish_driver_state();
-}
-
-/// Thread 0 only, always followed by a barrier before any other thread
-/// reads the published values.
-void SimWorld::publish_driver_state() {
-  driver_min_pub_ =
-      driver_heap_.empty() ? kInfTime : driver_heap_.front().time;
-  driver_processed_pub_ = driver_processed_;
-}
-
-void SimWorld::finish_run(TimePoint t_end) {
-  driver_now_ = std::max(driver_now_, t_end);
-  // Pending events (if any) all lie beyond t_end, so advancing the shard
-  // clocks to the horizon cannot step over work.
-  for (auto& p : shards_) p->now = std::max(p->now, t_end);
-}
-
-/// One shard's view of the synchronized round loop.  Every thread computes
-/// the same round decision from values published before the barrier, so no
-/// decision ever needs broadcasting.
-void SimWorld::round_loop(std::size_t shard_idx) {
-  Shard& s = *shards_[shard_idx];
-  const TimePoint t_end = job_t_end_;
-  const std::uint64_t max_events = job_max_events_;
-  for (;;) {
-    // Phase 1 (parallel): merge mailbox traffic, publish earliest work and
-    // the processed count as of this round start.
-    drain_inboxes(s);
-    s.local_min = s.heap.empty() ? kInfTime : s.heap.front().time;
-    s.published_processed = s.processed;
-    sync();
-    // Phase 2 (replicated): reads only barrier-separated snapshots — the
-    // live `processed` counters and the driver heap are already being
-    // mutated by threads that cleared this phase first.
-    TimePoint t_min = kInfTime;
-    std::uint64_t total = driver_processed_pub_;
-    std::uint64_t drained = 0;
-    for (const auto& p : shards_) {
-      t_min = std::min(t_min, p->local_min);
-      total += p->published_processed;
-      drained += p->drained;
-    }
-    const TimePoint driver_min = driver_min_pub_;
-    const TimePoint t_all = std::min(t_min, driver_min);
-    if (shard_idx == 0) {
-      ++window_barriers_;
-      if (drained > 0) ++merge_batches_;
-    }
-    if (t_all == kInfTime || t_all > t_end) {
-      if (shard_idx == 0) finish_run(t_end);
-      // Exit barrier: thread 0 hands the world back to the caller (which
-      // may schedule new driver work or start the next job) only after
-      // every worker has finished reading this round's decision inputs.
-      sync();
-      return;
-    }
-    if (total >= max_events) {
-      if (shard_idx == 0) {
-        TimePoint latest = driver_now_;
-        for (const auto& p : shards_) latest = std::max(latest, p->now);
-        driver_now_ = latest;  // no t_end clamp: the run did not complete
-        job_ok_ = false;
-        DPU_LOG(kError, "sim")
-            << "event budget exhausted at t=" << driver_now_;
-      }
-      sync();  // exit barrier, as above
-      return;
-    }
-    if (driver_min <= t_min) {
-      // Driver events run first at their timestamp, alone on the
-      // coordinating thread: they mutate cross-stack state (crash,
-      // partitions, loss) that shard execution reads lock-free.  The entry
-      // barrier parks every worker past its phase-2 reads before the step
-      // touches the driver heap or the published snapshots — without it a
-      // slow worker could read the post-step driver minimum and open a
-      // window across the driver's timestamp.
-      sync();
-      if (shard_idx == 0) run_driver_step(driver_min);
-      sync();
-      continue;
-    }
-    const TimePoint h =
-        std::min({t_min + lookahead_, driver_min,
-                  t_end == kInfTime ? kInfTime : t_end + 1});
-    exec_window(s, h, max_events - total);
-    sync();
-  }
-}
-
-void SimWorld::start_workers() {
-  if (!workers_.empty()) return;
-  const std::uint64_t epoch0 = job_epoch_.load(std::memory_order_relaxed);
-  workers_.reserve(num_shards_ - 1);
-  for (std::size_t q = 1; q < num_shards_; ++q) {
-    workers_.emplace_back([this, q, epoch0] { worker_main(q, epoch0); });
-  }
-}
-
-void SimWorld::worker_main(std::size_t shard_idx, std::uint64_t seen) {
-  for (;;) {
-    job_epoch_.wait(seen, std::memory_order_acquire);
-    // The epoch only moves once per run_until (the barriers inside
-    // round_loop keep this thread and the caller in lockstep until the job
-    // ends), so a single re-read cannot skip a job.
-    seen = job_epoch_.load(std::memory_order_acquire);
-    if (shutdown_.load(std::memory_order_acquire)) return;
-    round_loop(shard_idx);
-  }
 }
 
 bool SimWorld::run_until(TimePoint t_end, std::uint64_t max_events) {
-  job_t_end_ = t_end;
-  job_max_events_ = max_events;
-  job_ok_ = true;
-  // Setup code between runs pushes driver events outside any barrier
-  // protocol; re-publish before the workers wake.
-  publish_driver_state();
-  // Switch the trace buffers from transparent to buffering: handlers on
-  // worker threads must never touch the shared sink directly.
+  // Switch the trace buffers from transparent to buffering until the run
+  // ends (see flush_trace).
   for (auto& buf : trace_bufs_) buf->direct = nullptr;
-  if (num_shards_ > 1) {
-    start_workers();
-    job_epoch_.fetch_add(1, std::memory_order_release);
-    job_epoch_.notify_all();
+  bool ok = true;
+  for (;;) {
+    merge_pending();
+    const TimePoint node_min = heap_.empty() ? kInfTime : heap_.front().time;
+    const TimePoint driver_min =
+        driver_heap_.empty() ? kInfTime : driver_heap_.front().time;
+    const TimePoint t_min = std::min(node_min, driver_min);
+    if (t_min == kInfTime || t_min > t_end) {
+      // Pending events (if any) all lie beyond t_end, so advancing the
+      // clocks to the horizon cannot step over work.
+      driver_now_ = std::max(driver_now_, t_end);
+      now_ = std::max(now_, t_end);
+      break;
+    }
+    const std::uint64_t processed = processed_events();
+    if (processed >= max_events) {
+      driver_now_ = std::max(driver_now_, now_);  // the run did not complete
+      ok = false;
+      DPU_LOG(kError, "sim") << "event budget exhausted at t=" << driver_now_;
+      break;
+    }
+    if (driver_min <= node_min) {
+      run_driver_step(driver_min);
+      continue;
+    }
+    exec_window(std::min({node_min + lookahead_, driver_min,
+                          t_end == kInfTime ? kInfTime : t_end + 1}),
+                max_events - processed);
   }
-  round_loop(0);
   flush_trace();
-  return job_ok_;
+  return ok;
 }
 
 /// Merges the per-node trace buffers into the real sink in (time, node,
-/// emission order) order — the per-node buffers are single-writer under
-/// sharding, and this merge key is placement-independent, so traced runs
-/// stay byte-identical at every shard count.
+/// emission order) order.
 void SimWorld::flush_trace() {
   if (trace_ == nullptr) return;
-  // Back to transparent until the next run (the world is single-threaded
-  // again from here).
+  // Back to transparent until the next run.
   for (auto& buf : trace_bufs_) buf->direct = trace_;
   struct Ref {
     TimePoint time;
@@ -787,40 +609,6 @@ void SimWorld::flush_trace() {
   });
   for (const Ref& r : all) trace_->on_trace(*r.event);
   for (auto& buf : trace_bufs_) buf->events.clear();
-}
-
-// ---------------------------------------------------------------------------
-// Counters
-// ---------------------------------------------------------------------------
-
-std::uint64_t SimWorld::processed_events() const {
-  std::uint64_t total = driver_processed_;
-  for (const auto& p : shards_) total += p->processed;
-  return total;
-}
-
-std::uint64_t SimWorld::deferrals() const {
-  std::uint64_t total = 0;
-  for (const auto& p : shards_) total += p->deferrals;
-  return total;
-}
-
-std::uint64_t SimWorld::packets_sent() const {
-  std::uint64_t total = 0;
-  for (const auto& p : shards_) total += p->packets_sent;
-  return total;
-}
-
-std::uint64_t SimWorld::packets_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& p : shards_) total += p->packets_dropped;
-  return total;
-}
-
-std::uint64_t SimWorld::window_stalls() const {
-  std::uint64_t total = 0;
-  for (const auto& p : shards_) total += p->stalls;
-  return total;
 }
 
 }  // namespace dpu

@@ -1,10 +1,10 @@
-// Deterministic discrete-event simulation engine, sharded per node.
+// Deterministic discrete-event simulation engine.
 //
 // SimWorld hosts N protocol stacks in one address space with a shared
 // virtual clock.  It provides, per DESIGN.md §2/§8:
 //
-//  * a per-shard event heap ordered by (virtual time, insertion sequence) —
-//    fully deterministic given the world seed;
+//  * an event heap ordered by (virtual time, insertion sequence) — fully
+//    deterministic given the world seed;
 //  * a network model: per-link latency drawn uniformly from a configured
 //    range, optional loss and duplication, a pluggable link filter for
 //    partitions, and directional per-link fault overrides (asymmetric loss,
@@ -17,27 +17,20 @@
 //  * fault injection: crash(node), crash-recovery (recover(node) restarts
 //    the stack with a bumped incarnation) and link filters (partitions).
 //
-// Execution model (conservative parallel DES).  Node `v` belongs to shard
-// `v % shards`; each shard owns its nodes' timer/closure/packet events in
-// its own pooled heap and advances them in synchronized windows:
-//
-//   round:  [drain mailboxes]  [barrier]  [agree on window]  [execute]
-//
-// The window is `[T, T + lookahead)` where `T` is the earliest pending
-// event anywhere and the lookahead is `min_latency + send_cost_fixed`: a
-// packet sent at `u` departs no earlier than `u + send_cost_fixed` (the
-// sender is charged before the datagram leaves) and arrives no earlier
-// than `min_latency` later, so nothing sent inside a window can be
-// delivered inside the same window.  Every packet — cross-shard or not —
-// is routed through the destination shard's mailbox and merged at the next
-// drain in `(deliver_time, src, dst, link_seq)` order, never in thread
-// arrival order.  Driver events (`at()`) run on the coordinating thread at
-// window barriers, before node events at the same timestamp.  Results are
-// byte-identical at every shard count: per-link RNG substreams make draws
-// placement-independent, the mailbox merge key makes arrival order
-// placement-independent, and each shard's clock is exact for its own
-// nodes.  shards=1 (the default) runs the same windowed algorithm inline
-// with no threads and no barrier traffic.
+// Execution model.  One thread runs every node's timer, closure and packet
+// events from one pooled heap ordered by (time, insertion sequence), in
+// windows of `[T, T + lookahead)`, where `T` is the earliest pending event
+// and the lookahead is `min_latency + send_cost_fixed`: a packet sent at `u`
+// departs no earlier than `u + send_cost_fixed` and arrives no earlier than
+// `min_latency` later, so nothing sent inside a window is delivered inside
+// it.  Packets wait in one pending buffer and enter the heap at the next
+// window start, sorted by `(deliver_time, src, dst, link_seq)`, so their
+// insertion sequence — the tie-break against other events at the same
+// instant — is a function of the packets alone, not of when in the window
+// they were sent.  Inserting packets straight into the heap would be just
+// as deterministic but would reorder equal-time events relative to every
+// recorded result.  Driver events (`at()`) run between windows, before
+// node events at the same timestamp.
 //
 // All determinism derives from seeded substreams (util/rng.hpp).  The same
 // protocol code also runs on the multi-threaded real-time engine in
@@ -45,14 +38,11 @@
 // (runtime/world.hpp).
 #pragma once
 
-#include <atomic>
-#include <barrier>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <set>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -99,10 +89,6 @@ struct NetModelConfig {
 struct SimConfig {
   std::size_t num_stacks = 3;
   std::uint64_t seed = 1;
-  /// Event-engine shards (parallel workers).  Clamped to [1, num_stacks];
-  /// 1 (the default) runs the windowed engine inline with no threads.
-  /// Results are byte-identical at every value — see the header comment.
-  std::size_t shards = 1;
   NetModelConfig net;
   StackCostModel stack_cost;  ///< applied to every stack (service hop cost)
 };
@@ -118,20 +104,21 @@ class SimWorld final : public WorldControl {
 
   [[nodiscard]] std::size_t size() const override { return hosts_.size(); }
   [[nodiscard]] Stack& stack(NodeId node) override { return *stacks_[node]; }
-  /// Engine time.  Inside a node's event handler this is that node's shard
-  /// clock (the time of the event being executed); elsewhere it is the
-  /// driver clock (last barrier / end of the last run).
-  [[nodiscard]] TimePoint now() const override;
+  /// Engine time.  Inside a node's event handler this is the time of the
+  /// event being executed; elsewhere it is the driver clock (last driver
+  /// step / end of the last run).
+  [[nodiscard]] TimePoint now() const override {
+    return in_window_ ? now_ : driver_now_;
+  }
   [[nodiscard]] const SimConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t num_shards() const { return num_shards_; }
 
   // ---- Driver hooks --------------------------------------------------------
 
   /// Schedules a driver closure at absolute virtual time `t` (no CPU
-  /// accounting; use for test/bench orchestration).  Driver closures run on
-  /// the coordinating thread at a window barrier — before node events with
-  /// the same timestamp — so cross-stack mutations (crash, partitions,
-  /// loss) never race shard execution.
+  /// accounting; use for test/bench orchestration).  Driver closures run
+  /// between windows, before node events with the same timestamp, so
+  /// cross-stack mutations (crash, partitions, loss) take effect at an
+  /// exact instant.
   void at(TimePoint t, std::function<void()> fn) override;
 
   /// Schedules a closure on `node`'s executor at time `t`; runs with that
@@ -152,7 +139,7 @@ class SimWorld final : public WorldControl {
   /// same node id.  The host keeps its identity but is reset — incarnation
   /// bumped, timers/handlers cleared, RNG reseeded on an incarnation
   /// substream — and every event of the old incarnation still pending
-  /// (timers, packets in flight to the node, mailbox entries) is purged, so
+  /// (timers, packets in flight to the node, pending packets) is purged, so
   /// nothing of the old life can fire into the new one.  The caller
   /// composes modules on the fresh stack afterwards.
   void recover(NodeId node) override;
@@ -163,8 +150,7 @@ class SimWorld final : public WorldControl {
   [[nodiscard]] std::set<NodeId> crashed_set() const override;
 
   /// Installs a link filter: packets with filter(src,dst)==false are dropped.
-  /// Used for partitions; pass nullptr to heal.  Mutate only from driver
-  /// context (at() closures or between runs) — shards read it lock-free.
+  /// Used for partitions; pass nullptr to heal.
   void set_link_filter(
       std::function<bool(NodeId, NodeId)> deliverable) override {
     link_filter_ = std::move(deliverable);
@@ -173,7 +159,7 @@ class SimWorld final : public WorldControl {
   /// Adjusts the per-packet loss/duplication probabilities mid-run (applies
   /// to packets sent from now on).  The scenario engine uses this for
   /// bounded lossy-link windows; draws stay on the per-link substreams, so
-  /// runs remain deterministic.  Driver context only, like set_link_filter.
+  /// runs remain deterministic.
   void set_loss(double drop_probability,
                 double duplicate_probability) override {
     config_.net.drop_probability = drop_probability;
@@ -183,7 +169,7 @@ class SimWorld final : public WorldControl {
   /// Directional per-link override of the loss model; also adds the fault's
   /// extra_latency to every packet delivered on (src, dst).  Draws stay on
   /// the per-link substream, so installing/clearing overrides preserves
-  /// determinism.  Driver context only.
+  /// determinism.
   void set_link_fault(NodeId src, NodeId dst,
                       std::optional<LinkFault> fault) override;
 
@@ -207,25 +193,18 @@ class SimWorld final : public WorldControl {
     return run_until(deadline, max_events);
   }
 
-  [[nodiscard]] std::uint64_t processed_events() const;
-  /// Events re-queued because their stack was busy (processor-model
-  /// deferrals).  A hot-loop health metric for benches; the count depends
-  /// on shard grouping (heap composition differs), so it must never enter
-  /// byte-compared result documents.
-  [[nodiscard]] std::uint64_t deferrals() const;
-  [[nodiscard]] std::uint64_t packets_sent() const override;
-  [[nodiscard]] std::uint64_t packets_dropped() const override;
-  /// Synchronization rounds executed (windows + driver steps).  A pure
-  /// function of event timings, so identical at every shard count.
-  [[nodiscard]] std::uint64_t window_barriers() const {
-    return window_barriers_;
+  [[nodiscard]] std::uint64_t processed_events() const {
+    return processed_ + driver_processed_;
   }
-  /// Rounds that merged at least one mailbox packet.  Also
-  /// grouping-independent (mailbox traffic is every packet).
-  [[nodiscard]] std::uint64_t merge_batches() const { return merge_batches_; }
-  /// Windows in which a shard had pending work but executed nothing (its
-  /// events lay beyond the window).  Grouping-DEPENDENT — bench-only.
-  [[nodiscard]] std::uint64_t window_stalls() const;
+  /// Events re-queued because their stack was busy (processor-model
+  /// deferrals).  A hot-loop health metric for benches.
+  [[nodiscard]] std::uint64_t deferrals() const { return deferrals_; }
+  [[nodiscard]] std::uint64_t packets_sent() const override {
+    return packets_sent_;
+  }
+  [[nodiscard]] std::uint64_t packets_dropped() const override {
+    return packets_dropped_;
+  }
 
  private:
   class SimHost;
@@ -240,7 +219,7 @@ class SimWorld final : public WorldControl {
   /// and busy-deferral requeues move 32-byte PODs instead of running
   /// shared_ptr/std::function move constructors, which is where a saturated
   /// run spends most of its time.  Payloads and closures live in free-list
-  /// side pools indexed by `pool`, one pool set per shard.
+  /// side pools indexed by `pool`.
   /// kClosure = module-posted closure (dies with its incarnation);
   /// kDriver = at_node() control event (owned by the test/scenario
   /// driver — survives a crash-recovery purge, so an update scheduled on a
@@ -249,7 +228,7 @@ class SimWorld final : public WorldControl {
 
   struct Event {
     TimePoint time;
-    std::uint64_t seq;  // shard-local insertion order; total-order tiebreak
+    std::uint64_t seq;  // insertion order; total-order tiebreak
     NodeId node;
     EventKind kind;
     union {
@@ -271,12 +250,10 @@ class SimWorld final : public WorldControl {
     }
   };
 
-  /// A packet in transit between shards (or to the sender's own shard —
-  /// every packet takes this path, so arrival order is a pure function of
-  /// the key below, never of which shard produced it when).  `link_seq` is
-  /// the per-(src,dst) send counter: it orders same-time packets on one
-  /// link (including duplicate copies) and is placement-independent.
-  struct MailboxEntry {
+  /// A packet sent during the current window, waiting for the merge at the
+  /// next window start.  `link_seq` is the per-(src,dst) send counter: it
+  /// orders same-time packets on one link, duplicate copies included.
+  struct PendingPacket {
     TimePoint time;
     NodeId src;
     NodeId dst;
@@ -313,9 +290,8 @@ class SimWorld final : public WorldControl {
     }
   };
 
-  /// Driver control event (at()): runs on the coordinating thread at a
-  /// window barrier.  Rare (scenario schedule), so a plain heap of
-  /// closures, no pooling.
+  /// Driver control event (at()): runs between windows.  Rare (scenario
+  /// schedule), so a plain heap of closures, no pooling.
   struct DriverEvent {
     TimePoint time;
     std::uint64_t seq;
@@ -328,132 +304,68 @@ class SimWorld final : public WorldControl {
     }
   };
 
-  /// One event-engine shard: owns the heaps, pools, clock and counters of
-  /// its nodes.  Cache-line aligned and heap-allocated individually so
-  /// concurrent shards never false-share.
-  struct alignas(64) Shard {
-    const SimWorld* owner = nullptr;
-    std::size_t index = 0;
-    std::vector<Event> heap;
-    EventPool<Payload> payloads;
-    EventPool<std::function<void()>> closures;
-    TimePoint now = 0;
-    std::uint64_t next_seq = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t deferrals = 0;
-    std::uint64_t stalls = 0;
-    std::uint64_t packets_sent = 0;
-    std::uint64_t packets_dropped = 0;
-    /// Published in the drain phase, read by every thread after the
-    /// barrier: earliest pending event time, entries merged this round, and
-    /// the processed count as of the round start.  Phase 2 must read these
-    /// snapshots, never the live fields — a shard that clears phase 2 early
-    /// is already mutating `heap` and `processed` inside its window while
-    /// slower threads are still deciding.
-    TimePoint local_min = 0;
-    std::uint64_t drained = 0;
-    std::uint64_t published_processed = 0;
-    /// outbox[q]: packets produced by this shard for shard q during the
-    /// current window.  Drained (and cleared) by shard q at the next round
-    /// start; the two phases are barrier-separated, so single buffers
-    /// suffice.
-    std::vector<std::vector<MailboxEntry>> outbox;
-    std::vector<MailboxEntry> drain_scratch;
-  };
-
-  /// busy_until is indexed by node but written by the node's shard while
-  /// neighbours (node % shards interleaves them) are written by other
-  /// shards — pad to a cache line each.
-  struct alignas(64) PaddedTime {
-    TimePoint v = 0;
-  };
-
-  [[nodiscard]] std::size_t shard_of(NodeId node) const {
-    return static_cast<std::size_t>(node) % num_shards_;
-  }
-  [[nodiscard]] TimePoint current_now() const;
-
   void push_event(TimePoint t, NodeId node, std::function<void()> fn,
                   EventKind kind = EventKind::kClosure);
-  void push_packet_event(Shard& s, TimePoint t, NodeId dst, NodeId src,
+  void push_packet_event(TimePoint t, NodeId dst, NodeId src,
                          Payload payload);
   void push_timer_event(TimePoint t, NodeId node, TimerId id);
-  static void push_heap(Shard& s, Event ev);
-  static void sift_down_root(Shard& s);
-  static Event pop_heap_top(Shard& s);
-  void dispatch(Shard& s, const Event& ev);
-  static void discard(Shard& s, const Event& ev);
+  void push_heap(Event ev);
+  void sift_down_root();
+  Event pop_heap_top();
+  void dispatch(const Event& ev);
+  void discard(const Event& ev);
   void purge_node_events(NodeId node);
   void do_send_packet(NodeId src, NodeId dst, Payload data);
   void do_charge(NodeId node, Duration cost);
 
-  // ---- Round engine ---------------------------------------------------------
-
-  void round_loop(std::size_t shard_idx);
-  void drain_inboxes(Shard& s);
-  void exec_window(Shard& s, TimePoint h, std::uint64_t budget);
+  void merge_pending();
+  void exec_window(TimePoint h, std::uint64_t budget);
   void run_driver_step(TimePoint t);
-  void publish_driver_state();
-  void finish_run(TimePoint t_end);
-  void sync();  // barrier (no-op at shards=1)
-  void start_workers();
-  void worker_main(std::size_t shard_idx, std::uint64_t seen_epoch);
   void flush_trace();
 
   SimConfig config_;
   const ProtocolLibrary* library_ = nullptr;  // kept for recover()
   TraceSink* trace_ = nullptr;                // merge target; see trace_bufs_
-  std::size_t num_shards_ = 1;
   Duration lookahead_ = 1;
-  /// Driver clock: advanced at driver steps and run end; the shard clocks
-  /// are authoritative inside node handlers (see now()).
+  /// Node clock: the time of the node event executing (or last executed).
+  TimePoint now_ = 0;
+  /// Driver clock: advanced at driver steps and run end.
   TimePoint driver_now_ = 0;
+  /// True while exec_window runs node events; selects the clock now()
+  /// reports.
+  bool in_window_ = false;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Event> heap_;
+  EventPool<Payload> payloads_;
+  EventPool<std::function<void()>> closures_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t processed_ = 0;
+  std::uint64_t deferrals_ = 0;
+  std::uint64_t packets_sent_ = 0;
+  std::uint64_t packets_dropped_ = 0;
+  /// Packets sent since the last window start, from node handlers and
+  /// driver context alike; merge_pending() moves them into the heap.
+  std::vector<PendingPacket> pending_;
+
   std::vector<DriverEvent> driver_heap_;
   std::uint64_t driver_next_seq_ = 0;
   std::uint64_t driver_processed_ = 0;
-  /// Barrier-separated snapshots of the driver heap front and processed
-  /// count for the replicated phase-2 decision.  Thread 0 re-publishes them
-  /// after every driver step (the step mutates the heap while workers are
-  /// already parked at the round barrier) and at job start; reading the
-  /// live heap in phase 2 would race with exactly those mutations.
-  TimePoint driver_min_pub_ = 0;
-  std::uint64_t driver_processed_pub_ = 0;
-  /// Packets sent from driver context (composition, at() closures, module
-  /// stop handlers): one outbox row per destination shard, merged together
-  /// with the shard outboxes at the next drain.
-  std::vector<std::vector<MailboxEntry>> driver_outbox_;
-
-  std::uint64_t window_barriers_ = 0;
-  std::uint64_t merge_batches_ = 0;
-
-  // Current job (valid while round_loop runs; written before the epoch
-  // bump that wakes the workers).
-  TimePoint job_t_end_ = 0;
-  std::uint64_t job_max_events_ = 0;
-  bool job_ok_ = true;
-
-  std::unique_ptr<std::barrier<>> barrier_;
-  std::vector<std::thread> workers_;  // shards 1..S-1; lazily started
-  std::atomic<std::uint64_t> job_epoch_{0};
-  std::atomic<bool> shutdown_{false};
 
   std::vector<std::unique_ptr<SimHost>> hosts_;
   std::vector<std::unique_ptr<Stack>> stacks_;
   /// Per-node trace buffers (only when a sink is installed): stacks write
-  /// their own buffer — single-writer under sharding — and flush_trace()
-  /// merge-sorts everything into the real sink in (time, node, order)
-  /// order, which is placement-independent.
+  /// their own buffer during a run and flush_trace() merge-sorts everything
+  /// into the real sink in (time, node, emission order) order — the order
+  /// traced results were recorded in, rather than the order driver and
+  /// node events happened to emit.
   class NodeTraceBuf;
   std::vector<std::unique_ptr<NodeTraceBuf>> trace_bufs_;
-  std::vector<PaddedTime> busy_until_;
+  std::vector<TimePoint> busy_until_;
   std::vector<bool> crashed_;
   /// World-global incarnation stamp handed to the next recovery (see
   /// recover(): stamps must outgrow every epoch any stack ever adopted).
   std::uint32_t next_incarnation_ = 1;
-  /// Per-link RNG substreams and per-link send counters.  Row `src` is
-  /// only touched when `src` sends — one writer per row under sharding.
+  /// Per-link RNG substreams and per-link send counters.
   LinkTable<Rng> link_rngs_;
   LinkTable<std::uint64_t> link_seqs_;
   std::function<bool(NodeId, NodeId)> link_filter_;

@@ -6,8 +6,11 @@
 // including exactly-once delivery across the restart — must hold.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
 
+#include "scenario/library.hpp"
 #include "scenario/runner.hpp"
 
 namespace dpu::scenario {
@@ -99,6 +102,28 @@ TEST(StateTransfer, LateJoinConvergesLikeARecovery) {
   EXPECT_GT(result.snapshots_served, 0u);
   EXPECT_GT(result.state_replayed, 0u);
 }
+
+/// churn-rbcast seeds where the recovering stack's 150 ms retry rotation
+/// had two responders launch refresh switches under the same version.  The
+/// rbcast facade orders nothing, so each responder performed the *other*
+/// refresh first and saw its own arrive stale; both relaunched instead of
+/// serving a snapshot, and the requester entered two versions later,
+/// skipping an instance every other stack bound.  Each responder must now
+/// serve its requester at the refresh that won, which is the earliest one
+/// launched for it.
+class RefreshRaceTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RefreshRaceTest, RecoveringStackEntersAtTheEarliestRefresh) {
+  const std::optional<ScenarioSpec> spec = find_scenario("churn-rbcast");
+  ASSERT_TRUE(spec.has_value());
+  const ScenarioResult result = run_scenario(*spec, GetParam());
+  EXPECT_TRUE(result.abcast_report.ok) << result.abcast_report.summary();
+  EXPECT_TRUE(result.generic_report.ok) << result.generic_report.summary();
+  EXPECT_EQ(result.recovered, (std::set<NodeId>{2, 4}));
+}
+
+INSTANTIATE_TEST_SUITE_P(ChurnRbcastSeeds, RefreshRaceTest,
+                         ::testing::Values(101u, 118u, 199u, 200u));
 
 TEST(StateTransfer, RecoveryWithoutStateTransferCapabilityIsRejected) {
   // The runner enforces the registry capability: a maestro-managed abcast

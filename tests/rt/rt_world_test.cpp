@@ -160,6 +160,30 @@ TEST(RtWorld, UdpSocketTransportDelivers) {
   EXPECT_TRUE(report.ok) << report.summary();
 }
 
+TEST(RtWorld, RefusedSocketSendIsCountedAndSkipped) {
+  // A datagram above the IPv4 UDP payload limit fails with EMSGSIZE.  It is
+  // staged in the same sendmmsg batch as a normal datagram behind it: the
+  // failure is counted, the oversized datagram is not, and the one behind
+  // it still goes out.
+  RtConfig config{.num_stacks = 2, .seed = 5};
+  config.transport = RtTransport::kUdpSockets;
+  config.udp_base_port = 38931;
+  RtWorld world(config);
+  std::atomic<int> delivered{0};
+  world.stack(1).host().set_packet_handler(
+      [&delivered](NodeId, const Payload&) { ++delivered; });
+  world.start();
+  world.post_to(0, [&world]() {
+    world.stack(0).host().send_packet(1, Payload(Bytes(70'000, 0x5A)));
+    world.stack(0).host().send_packet(1, to_bytes("fits"));
+  });
+  ASSERT_TRUE(wait_until([&]() { return delivered.load() == 1; },
+                         10 * kSecond));
+  world.stop();
+  EXPECT_EQ(world.socket_tx_failures(), 1u);
+  EXPECT_EQ(world.socket_tx_datagrams(), 1u);
+}
+
 TEST(RtWorld, LossyInprocTransportStillReliable) {
   RtConfig config{.num_stacks = 3, .seed = 4};
   config.drop_probability = 0.05;
