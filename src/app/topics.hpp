@@ -70,6 +70,10 @@ class TopicMuxModule final : public Module,
 
   [[nodiscard]] std::uint64_t published() const { return published_; }
   [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
+  /// Abcast deliveries that were not topic frames (other clients' traffic).
+  [[nodiscard]] std::uint64_t non_topic_ignored() const {
+    return non_topic_ignored_;
+  }
 
  private:
   Config config_;
@@ -78,6 +82,7 @@ class TopicMuxModule final : public Module,
   std::map<std::string, std::deque<std::pair<NodeId, Bytes>>> pending_;
   std::uint64_t published_ = 0;
   std::uint64_t dispatched_ = 0;
+  std::uint64_t non_topic_ignored_ = 0;
 };
 
 }  // namespace dpu

@@ -106,4 +106,39 @@ class TimerSlot {
   std::function<void()> cb_;
 };
 
+/// RAII turn-end request owned by a module (HostEnv::at_turn_end): the
+/// callback is fixed at construction, request() is idempotent until it
+/// runs, and destruction cancels, so a destroyed module never receives a
+/// stale call.  Like TimerSlot, the engine-facing wrapper only captures
+/// `this`.
+class TurnEndSlot {
+ public:
+  TurnEndSlot(HostEnv& host, std::function<void()> cb)
+      : host_(&host), cb_(std::move(cb)) {}
+  ~TurnEndSlot() { cancel(); }
+
+  TurnEndSlot(const TurnEndSlot&) = delete;
+  TurnEndSlot& operator=(const TurnEndSlot&) = delete;
+
+  void request() {
+    if (id_ != kNoTurnEnd) return;
+    id_ = host_->at_turn_end([this]() {
+      id_ = kNoTurnEnd;  // first: the callback may request the next turn
+      cb_();
+    });
+  }
+
+  void cancel() {
+    if (id_ != kNoTurnEnd) {
+      host_->cancel_turn_end(id_);
+      id_ = kNoTurnEnd;
+    }
+  }
+
+ private:
+  HostEnv* host_;
+  TurnEndId id_ = kNoTurnEnd;
+  std::function<void()> cb_;
+};
+
 }  // namespace dpu

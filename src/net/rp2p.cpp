@@ -30,11 +30,13 @@ Rp2pModule::Rp2pModule(Stack& stack, std::string instance_name, Config config)
       ack_timer_(stack.host()),
       nack_timer_(stack.host()),
       batch_timer_(stack.host()),
-      retransmit_timer_(stack.host()) {}
+      retransmit_timer_(stack.host()),
+      turn_end_(stack.host(), [this]() { on_turn_end(); }) {}
 
 void Rp2pModule::start() {
   seq_base_ = incarnation_seq_base(env().incarnation());
-  out_.resize(env().world_size());
+  grow_out(env().world_size());
+  // Peers a send reached before start() sit at epoch 0: re-base them.
   for (PeerOut& peer : out_) peer.next_seq = seq_base_ + 1;
   in_.resize(env().world_size());
   udp_.call([this](UdpApi& udp) {
@@ -46,9 +48,11 @@ void Rp2pModule::start() {
 }
 
 void Rp2pModule::stop() {
-  // Seal parked batches first (udp is still bound here): a message accepted
-  // by rp2p_send must have been transmitted at least once, exactly as on
-  // the unbatched path.
+  // Seal parked batches first (udp is still bound here), cold links' and
+  // hot links' alike: a message accepted by rp2p_send must have been
+  // transmitted at least once, exactly as on the unbatched path.
+  turn_end_.cancel();
+  on_turn_end();
   flush_batches();
   retransmit_timer_.cancel();
   ack_timer_.cancel();
@@ -74,13 +78,7 @@ void Rp2pModule::rp2p_send(NodeId dst, ChannelId channel, Payload payload) {
     });
     return;
   }
-  if (dst >= out_.size()) {
-    const std::size_t old_size = out_.size();
-    out_.resize(dst + 1);
-    for (std::size_t i = old_size; i < out_.size(); ++i) {
-      out_[i].next_seq = seq_base_ + 1;
-    }
-  }
+  if (dst >= out_.size()) grow_out(dst + 1);
   PeerOut& peer = out_[dst];
   ++messages_sent_;
   if (!config_.batching) {
@@ -102,9 +100,11 @@ void Rp2pModule::rp2p_send(NodeId dst, ChannelId channel, Payload payload) {
     return;
   }
   // Batched path: park the message (no copy — the Payload moves into the
-  // batch) and flush when the byte budget fills or the flush timer fires.
-  // The sealed datagram gets the sequence number, so reliability stays
-  // per-datagram and a retransmission resends the whole batch once.
+  // batch) and flush when the byte budget fills, at the turn end (cold
+  // link) or when the flush timer fires (hot link).  The sealed datagram
+  // gets the sequence number, so reliability stays per-datagram and a
+  // retransmission resends the whole batch once.
+  if (config_.batch_flush_ns > 0) note_send_turn(dst, peer);
   const std::size_t wire = batch_message_wire_size(payload.size());
   if (!peer.pending.empty() &&
       peer.pending_bytes + wire > config_.batch_max_bytes) {
@@ -115,9 +115,42 @@ void Rp2pModule::rp2p_send(NodeId dst, ChannelId channel, Payload payload) {
   if (peer.pending_bytes >= config_.batch_max_bytes ||
       config_.batch_flush_ns <= 0) {
     flush_batch(dst, peer);  // budget full (or an oversized single): go now
-  } else {
+  } else if (hot(peer)) {
     note_batch_due(dst, peer);
   }
+}
+
+void Rp2pModule::grow_out(std::size_t size) {
+  const std::size_t old_size = out_.size();
+  out_.resize(size);
+  for (std::size_t i = old_size; i < out_.size(); ++i) {
+    out_[i].next_seq = seq_base_ + 1;
+    out_[i].send_gap_ewma = config_.batch_flush_ns;
+  }
+}
+
+void Rp2pModule::note_send_turn(NodeId dst, PeerOut& peer) {
+  if (peer.in_turn) return;
+  peer.in_turn = true;
+  turn_peers_.push_back(dst);
+  turn_end_.request();
+  const TimePoint now = env().now();
+  if (peer.last_turn_send) {
+    const Duration gap = now - *peer.last_turn_send;
+    peer.send_gap_ewma += (gap - peer.send_gap_ewma) / 8;  // gain 1/8
+  }
+  peer.last_turn_send = now;
+}
+
+void Rp2pModule::on_turn_end() {
+  // Indexed: a flush that re-enters rp2p_send may append a peer.
+  for (std::size_t i = 0; i < turn_peers_.size(); ++i) {
+    const NodeId dst = turn_peers_[i];
+    PeerOut& peer = out_[dst];
+    peer.in_turn = false;
+    if (!hot(peer)) flush_batch(dst, peer);
+  }
+  turn_peers_.clear();
 }
 
 void Rp2pModule::note_batch_due(NodeId dst, PeerOut& peer) {

@@ -11,12 +11,19 @@
 //  * The full DATA frame is serialized once per (packet, destination) and
 //    cached as a shared Payload, so retransmissions re-send the same buffer
 //    instead of re-encoding it.
-//  * Sends are batched (ROADMAP 2(a)): messages to the same destination
-//    pack into one datagram under a byte budget, flushed by size overflow
-//    or a short timer.  The *datagram* is the sequencing unit — one seq,
-//    one ack, one NACK hole, one retransmission per batch — so datagram,
-//    syscall and engine-event counts stop scaling with message count.
-//    See net/batch.hpp for the shared frame codec.
+//  * Sends are batched: messages to the same destination pack into one
+//    datagram under a byte budget.  The *datagram* is the sequencing unit —
+//    one seq, one ack, one NACK hole, one retransmission per batch — so
+//    datagram, syscall and engine-event counts stop scaling with message
+//    count.  See net/batch.hpp for the shared frame codec.
+//  * The flush adapts to each link's load.  Per peer, rp2p keeps an EWMA
+//    (gain 1/8, like TCP's SRTT) of the gap between the stack's turns that
+//    send to it (HostEnv::at_turn_end).  A *cold* link (EWMA >=
+//    batch_flush_ns) flushes at the end of the turn: everything one turn
+//    sends to the peer shares a datagram, and nothing waits for a timer.  A
+//    *hot* link, where a companion message is likely within the window,
+//    keeps its batch open for batch_flush_ns.  A byte-budget overflow
+//    flushes either kind at once.
 //  * Cumulative acks are coalesced: deliveries mark the peer ack-due and a
 //    delayed-ack timer flushes one cumulative ack per dirty peer per
 //    window, instead of one ack datagram per in-order delivery.
@@ -29,6 +36,7 @@
 
 #include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -79,7 +87,8 @@ struct Rp2pConfig {
   std::size_t max_pending_per_channel = 100'000;
   /// Batched packet path: pack messages to the same destination into one
   /// datagram (net/batch.hpp frame) under batch_max_bytes, flushing when
-  /// the budget fills or batch_flush_ns elapses.  Off = the pre-batching
+  /// the budget fills, at the end of the turn (cold link) or after
+  /// batch_flush_ns (hot link).  Off = the pre-batching
   /// one-datagram-per-message path (kept as an ablation for benches and
   /// apples-to-apples comparisons).
   bool batching = true;
@@ -87,8 +96,10 @@ struct Rp2pConfig {
   /// message larger than the budget still goes out, alone, as an oversized
   /// degenerate batch (the codec cannot split messages).
   std::size_t batch_max_bytes = 1200;
-  /// How long the first message parked in an empty batch may wait for
-  /// company before the batch is flushed anyway.  Trades a bounded latency
+  /// The hot-link window: on a link whose mean gap between sending turns
+  /// is below this, the first message parked in an empty batch waits this
+  /// long for company before the batch is flushed anyway; links with
+  /// longer gaps flush at the end of the turn.  Trades a bounded latency
   /// bump for fewer datagrams; must stay well below ack_delay and the
   /// network RTT so batching never masquerades as loss.  <= 0 flushes
   /// every send immediately (batch framing without coalescing).
@@ -189,6 +200,12 @@ class Rp2pModule final : public Module, public Rp2pApi {
     std::vector<BatchMessage> pending;
     std::size_t pending_bytes = 0;
     bool batch_queued = false;
+    /// Load estimate: EWMA of the gap between turns that send to this
+    /// peer (starts cold), when the last such turn sent, and whether the
+    /// current turn has (then the peer is in turn_peers_).
+    Duration send_gap_ewma = 0;  // batch_flush_ns (cold) until sampled
+    std::optional<TimePoint> last_turn_send;
+    bool in_turn = false;
   };
 
   /// One buffered receive-side frame: either a single message (legacy kData)
@@ -233,6 +250,17 @@ class Rp2pModule final : public Module, public Rp2pApi {
   /// Delivers one in-order frame: a single message directly, a batch by
   /// decoding its body and delivering each message in pack order.
   void deliver_frame(NodeId src, const ReorderEntry& entry);
+  /// Sizes out_ to `size` peers, each new one at the stream epoch base and
+  /// cold.
+  void grow_out(std::size_t size);
+  /// Feeds the first send of a turn to `dst` into its gap EWMA and queues
+  /// the peer for the turn end.
+  void note_send_turn(NodeId dst, PeerOut& peer);
+  [[nodiscard]] bool hot(const PeerOut& peer) const {
+    return peer.send_gap_ewma < config_.batch_flush_ns;
+  }
+  /// Turn end: flushes the cold links this turn sent to.
+  void on_turn_end();
   /// Queues `dst` for the next batch-flush tick (arming the timer if idle).
   void note_batch_due(NodeId dst, PeerOut& peer);
   /// Flushes the parked batches of every queued destination.
@@ -263,9 +291,12 @@ class Rp2pModule final : public Module, public Rp2pApi {
   std::vector<NodeId> ack_queue_;
   /// Peers with a queued gap check, in detection order (deterministic).
   std::vector<NodeId> nack_queue_;
-  /// Peers with a parked batch awaiting the flush tick, in first-message
-  /// order (deterministic flush order, like ack_queue_).
+  /// Peers with a parked batch awaiting the flush tick (hot links, and
+  /// any link while udp is unbound), in first-message order
+  /// (deterministic flush order, like ack_queue_).
   std::vector<NodeId> batch_queue_;
+  /// Peers the current turn sent to, in first-send order.
+  std::vector<NodeId> turn_peers_;
   /// Decode scratch reused across batch deliveries (swapped out during the
   /// delivery loop so re-entrant handlers cannot alias it).
   std::vector<BatchMessage> batch_scratch_;
@@ -273,6 +304,7 @@ class Rp2pModule final : public Module, public Rp2pApi {
   TimerSlot nack_timer_;
   TimerSlot batch_timer_;
   TimerSlot retransmit_timer_;
+  TurnEndSlot turn_end_;
   std::uint64_t delivered_ = 0;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t data_datagrams_ = 0;

@@ -538,8 +538,7 @@ void ReplacementFacadeBase::send_state_request(bool rotate) {
     // keep collecting instead of discarding a half-received snapshot.
     if (sync_header_seen_ && sync_entries_.size() > sync_progress_mark_) {
       sync_progress_mark_ = sync_entries_.size();
-      sync_timer_->schedule(fcfg_.sync_retry,
-                            [this]() { send_state_request(/*rotate=*/true); });
+      arm_sync_retry();
       return;
     }
     ++sync_attempt_;
@@ -559,7 +558,14 @@ void ReplacementFacadeBase::send_state_request(bool rotate) {
       api.rp2p_send(sync_responder_, state_channel_, std::move(p));
     });
   }
-  sync_timer_->schedule(fcfg_.sync_retry,
+  arm_sync_retry();
+}
+
+void ReplacementFacadeBase::arm_sync_retry() {
+  // From the busy horizon, not now(): the request leaves only once the CPU
+  // this turn has charged is spent (a recovering stack charges every module
+  // it composes), and the retry window must start when the request does.
+  sync_timer_->schedule(env().busy_now() - env().now() + fcfg_.sync_retry,
                         [this]() { send_state_request(/*rotate=*/true); });
 }
 

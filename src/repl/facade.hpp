@@ -432,6 +432,8 @@ class ReplacementFacadeBase : public Module, public UpdateMechanism {
   /// Requester: (re-)sends the state request to the next candidate and arms
   /// the retry timer.  `rotate` advances past the current responder first.
   void send_state_request(bool rotate);
+  /// Arms the retry timer sync_retry after the stack's busy horizon.
+  void arm_sync_retry();
   [[nodiscard]] NodeId pick_responder() const;
   void handle_state_request(NodeId src, std::uint64_t epoch);
   /// Responder: a requester finalized elsewhere — forget its outstanding

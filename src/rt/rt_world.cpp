@@ -64,6 +64,15 @@ class RtWorld::RtHost final : public HostEnv {
     live_timers_.erase(id);
   }
 
+  // Turn-end callbacks are requested and run on the loop thread only (or,
+  // like module composition, while the loop is not running), so the queue
+  // needs no lock.
+  TurnEndId at_turn_end(std::function<void()> fn) override {
+    return turn_end_.add(std::move(fn));
+  }
+
+  void cancel_turn_end(TurnEndId id) override { turn_end_.cancel(id); }
+
   void send_packet(NodeId dst, Payload data) override {
     world_->route_packet(node_, dst, std::move(data));
   }
@@ -183,6 +192,7 @@ class RtWorld::RtHost final : public HostEnv {
     tx_queue_.clear();
     timers_.clear();
     live_timers_.clear();
+    turn_end_.clear();
     packet_handler_ = nullptr;
     incarnation_.store(incarnation, std::memory_order_relaxed);
     rng_ = Rng::substream(seed_,
@@ -295,6 +305,13 @@ class RtWorld::RtHost final : public HostEnv {
         if (!running_.load() || crashed()) break;
       }
       if (!running_.load() || crashed()) break;
+      // End of the turn: what the callbacks parked for it (rp2p batches)
+      // joins this iteration's sendmmsg.
+      if (!turn_end_.empty()) {
+        lock.unlock();
+        turn_end_.run();
+        lock.lock();
+      }
       // Everything this iteration's callbacks put on the wire goes out in
       // one sendmmsg before the loop sleeps.
       if (!tx_queue_.empty()) {
@@ -303,6 +320,7 @@ class RtWorld::RtHost final : public HostEnv {
         lock.lock();
         continue;  // re-check timers/queue: the flush took real time
       }
+      if (!queue_.empty()) continue;  // posted by a turn-end callback
       // Sleep until the next timer or a new event.
       if (timers_.empty()) {
         cv_.wait(lock);
@@ -313,10 +331,14 @@ class RtWorld::RtHost final : public HostEnv {
         }
       }
     }
-    // Clean exit: do not strand staged datagrams (the tail of a drain —
-    // final acks and the like).  Crash exits fall through without this.
+    // Clean exit: do not strand the last turn's output or staged datagrams
+    // (the tail of a drain — final acks and the like).  Crash exits fall
+    // through without this.
     lock.unlock();
-    if (!crashed()) flush_socket_tx();
+    if (!crashed()) {
+      turn_end_.run();
+      flush_socket_tx();
+    }
   }
 
   /// Decodes the 4-byte source-id prefix (see RtWorld::route_packet) and
@@ -447,6 +469,8 @@ class RtWorld::RtHost final : public HostEnv {
   std::multimap<TimePoint, TimerEntry> timers_;
   std::unordered_set<TimerId> live_timers_;
   TimerId next_timer_id_ = 0;
+  /// Loop thread only (see at_turn_end).
+  TurnEndQueue turn_end_;
   std::atomic<bool> running_{false};
   std::atomic<bool> crashed_{false};
   std::thread loop_thread_;

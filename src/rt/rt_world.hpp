@@ -6,7 +6,8 @@
 // in-process queues or through real POSIX UDP sockets on the loopback
 // device (the paper's transport).  On Linux the socket path amortizes
 // syscalls: outbound datagrams stage on a per-host queue flushed with one
-// sendmmsg() per event-loop iteration, and the receiver drains up to a
+// sendmmsg() per event-loop iteration (after the iteration's turn-end
+// callbacks, HostEnv::at_turn_end), and the receiver drains up to a
 // whole burst per recvmmsg() call, posting it to the stack thread as one
 // closure — so syscall and wakeup counts scale with bursts, not messages.
 //

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "runtime/time.hpp"
 #include "util/bytes.hpp"
@@ -24,6 +25,10 @@ namespace dpu {
 /// Handle for a pending timer; 0 is never a valid id.
 using TimerId = std::uint64_t;
 inline constexpr TimerId kNoTimer = 0;
+
+/// Handle for a pending turn-end callback; 0 is never a valid id.
+using TurnEndId = std::uint64_t;
+inline constexpr TurnEndId kNoTurnEnd = 0;
 
 /// Per-origin sequence counters start at (incarnation << shift) + 1, so the
 /// sequence space is partitioned into per-incarnation epochs: receivers
@@ -80,6 +85,20 @@ class HostEnv {
   /// Cancels a pending timer; no-op if it already fired or was cancelled.
   virtual void cancel_timer(TimerId id) = 0;
 
+  /// Runs `fn` once when this stack's current turn ends.  A turn is one
+  /// uninterrupted stretch of the stack's work: in the simulator one node
+  /// event, one driver step, or everything done between two runs; in the
+  /// real-time engine one loop iteration (the due timers, then the posted
+  /// queue), and the callbacks run before that iteration's sendmmsg flush.
+  /// Callbacks run on this stack's executor in request order; one requested
+  /// from a turn-end callback runs in the same turn end.  A crash drops the
+  /// pending callbacks.  Lets a module send once for everything a turn
+  /// produced (rp2p's per-peer batches) without waiting on a timer.
+  virtual TurnEndId at_turn_end(std::function<void()> fn) = 0;
+
+  /// Cancels a pending turn-end callback; no-op if it already ran.
+  virtual void cancel_turn_end(TurnEndId id) = 0;
+
   /// Sends an unreliable datagram to `dst` (may be dropped, duplicated or
   /// reordered by the network).  Sending to self is delivered like any other
   /// packet.  This is the engine half of the paper's `Net` service; the UDP
@@ -122,6 +141,56 @@ class HostEnv {
   /// installed are dropped, matching UDP semantics.
   virtual void set_packet_handler(
       std::function<void(NodeId src, const Payload& data)> handler) = 0;
+};
+
+/// The pending turn-end callbacks of one stack: the engine half of
+/// HostEnv::at_turn_end, shared by both engines.  Touched only from the
+/// stack's executor.  Steady state allocates nothing: the two lists keep
+/// their capacity, and callbacks that capture one pointer fit
+/// std::function's inline buffer.
+class TurnEndQueue {
+ public:
+  [[nodiscard]] bool empty() const { return pending_.empty(); }
+
+  TurnEndId add(std::function<void()> fn) {
+    pending_.push_back(Entry{++last_id_, std::move(fn)});
+    return last_id_;
+  }
+
+  void cancel(TurnEndId id) {
+    for (std::vector<Entry>* list : {&pending_, &running_}) {
+      for (Entry& e : *list) {
+        if (e.id == id) e.fn = nullptr;
+      }
+    }
+  }
+
+  /// Runs every pending callback, including those added meanwhile.
+  void run() {
+    while (!pending_.empty()) {
+      running_.swap(pending_);
+      // Indexed, and each callback moved out first: a callback may cancel
+      // a later entry of this round or add one to the next.
+      for (std::size_t i = 0; i < running_.size(); ++i) {
+        std::function<void()> fn = std::move(running_[i].fn);
+        running_[i].fn = nullptr;
+        if (fn) fn();
+      }
+      running_.clear();
+    }
+  }
+
+  /// Drops every pending callback unrun (crash, recovery).
+  void clear() { pending_.clear(); }
+
+ private:
+  struct Entry {
+    TurnEndId id;
+    std::function<void()> fn;
+  };
+  std::vector<Entry> pending_;
+  std::vector<Entry> running_;
+  TurnEndId last_id_ = kNoTurnEnd;
 };
 
 /// Engine-side hook for delivering received packets into a stack.  The UDP

@@ -35,6 +35,7 @@ class SimWorld::SimHost final : public HostEnv {
     incarnation_ = incarnation;
     timer_cells_.clear();
     timer_free_.clear();
+    turn_end_.clear();
     packet_handler_ = nullptr;
     rng_ = Rng::substream(seed,
                           incarnation_rng_substream(node_, incarnation_));
@@ -87,6 +88,27 @@ class SimWorld::SimHost final : public HostEnv {
     std::function<void()> cb = std::move(cell->cb);
     release_timer(*cell, id);  // release first: cb may re-arm timers
     cb();
+  }
+
+  TurnEndId at_turn_end(std::function<void()> fn) override {
+    if (!turn_end_listed_) {
+      turn_end_listed_ = true;
+      world_->turn_end_nodes_.push_back(node_);
+    }
+    return turn_end_.add(std::move(fn));
+  }
+
+  void cancel_turn_end(TurnEndId id) override { turn_end_.cancel(id); }
+
+  /// Ends this stack's turn (SimWorld::run_turn_ends); a crashed stack's
+  /// callbacks are dropped unrun.
+  void end_turn() {
+    turn_end_listed_ = false;
+    if (world_->crashed_[node_]) {
+      turn_end_.clear();
+    } else {
+      turn_end_.run();
+    }
   }
 
   void send_packet(NodeId dst, Payload data) override {
@@ -149,6 +171,9 @@ class SimWorld::SimHost final : public HostEnv {
   std::uint32_t incarnation_ = 0;
   std::vector<TimerCell> timer_cells_;
   std::vector<std::uint32_t> timer_free_;
+  TurnEndQueue turn_end_;
+  /// Whether this node is on SimWorld::turn_end_nodes_.
+  bool turn_end_listed_ = false;
   std::function<void(NodeId, const Payload&)> packet_handler_;
 };
 
@@ -528,6 +553,7 @@ void SimWorld::exec_window(TimePoint h, std::uint64_t budget) {
     ++processed_;
     ++executed;
     dispatch(ev);
+    if (!turn_end_nodes_.empty()) run_turn_ends();
   }
   in_window_ = false;
 }
@@ -543,12 +569,25 @@ void SimWorld::run_driver_step(TimePoint t) {
     ++driver_processed_;
     ev.fn();
   }
+  run_turn_ends();
+}
+
+/// Ends the turn of every stack that asked for it, in request order.  The
+/// list may grow while it runs (a callback can call into another stack).
+void SimWorld::run_turn_ends() {
+  for (std::size_t i = 0; i < turn_end_nodes_.size(); ++i) {
+    hosts_[turn_end_nodes_[i]]->end_turn();
+  }
+  turn_end_nodes_.clear();
 }
 
 bool SimWorld::run_until(TimePoint t_end, std::uint64_t max_events) {
   // Switch the trace buffers from transparent to buffering until the run
   // ends (see flush_trace).
   for (auto& buf : trace_bufs_) buf->direct = nullptr;
+  // Work done between runs (test or driver calls into stacks) ends its
+  // turn here.
+  run_turn_ends();
   bool ok = true;
   for (;;) {
     merge_pending();

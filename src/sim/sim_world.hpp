@@ -30,7 +30,10 @@
 // they were sent.  Inserting packets straight into the heap would be just
 // as deterministic but would reorder equal-time events relative to every
 // recorded result.  Driver events (`at()`) run between windows, before
-// node events at the same timestamp.
+// node events at the same timestamp.  A stack's turn (HostEnv::at_turn_end)
+// ends after each of its node events, after each driver step and at the
+// start of run_until; its turn-end callbacks run right then, in request
+// order, at the ended event's time.
 //
 // All determinism derives from seeded substreams (util/rng.hpp).  The same
 // protocol code also runs on the multi-threaded real-time engine in
@@ -321,6 +324,7 @@ class SimWorld final : public WorldControl {
   void merge_pending();
   void exec_window(TimePoint h, std::uint64_t budget);
   void run_driver_step(TimePoint t);
+  void run_turn_ends();
   void flush_trace();
 
   SimConfig config_;
@@ -346,6 +350,9 @@ class SimWorld final : public WorldControl {
   /// Packets sent since the last window start, from node handlers and
   /// driver context alike; merge_pending() moves them into the heap.
   std::vector<PendingPacket> pending_;
+  /// Stacks with turn-end callbacks pending (HostEnv::at_turn_end), in
+  /// request order; run after every node event and driver step.
+  std::vector<NodeId> turn_end_nodes_;
 
   std::vector<DriverEvent> driver_heap_;
   std::uint64_t driver_next_seq_ = 0;

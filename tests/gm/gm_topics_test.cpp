@@ -82,6 +82,24 @@ TEST(Topics, LateSubscriberReceivesBufferedInOrder) {
   EXPECT_EQ(got, (std::vector<std::string>{"m1", "m2"}));
 }
 
+TEST(Topics, NonTopicAbcastTrafficIsCountedNotDispatched) {
+  // Other clients of the abcast facade (the scenario workload) share the
+  // mux's delivery stream; their messages are counted and skipped.
+  Rig rig(SimConfig{.num_stacks = 2, .seed = 4});
+  int got = 0;
+  rig.stacks[1].topics->subscribe("t", [&](NodeId, const Bytes&) { ++got; });
+  rig.world.at_node(0, 0, [&]() {
+    rig.world.stack(0).require<AbcastApi>(kAbcastService).call(
+        [](AbcastApi& api) { api.abcast(to_bytes("plain")); });
+    rig.stacks[0].topics->publish("t", to_bytes("framed"));
+  });
+  rig.world.run_for(kSecond);
+  EXPECT_EQ(got, 1);
+  for (NodeId i = 0; i < 2; ++i) {
+    EXPECT_EQ(rig.stacks[i].topics->non_topic_ignored(), 1u) << "stack " << i;
+  }
+}
+
 TEST(Gm, InitialViewIsFullWorld) {
   Rig rig(SimConfig{.num_stacks = 4, .seed = 4});
   rig.world.run_for(100 * kMillisecond);

@@ -393,21 +393,146 @@ TEST(Rp2pBatch, ByteBudgetSplitsAndOversizedMessageTravelsAlone) {
   EXPECT_EQ(rig.rp2p[0]->data_datagrams_sent(), 4u);  // 3 full + 1 solo
 }
 
-TEST(Rp2pBatch, FlushTimerSendsLoneMessageWithoutCompany) {
-  // A single message with no follow-up must still leave within the flush
-  // window — batching trades bounded latency, never liveness.
+TEST(Rp2pBatch, LoneMessageOnHotLinkLeavesWithinFlushWindow) {
+  // A stream 30 us apart makes the link hot; the stream's last message has
+  // no follow-up and must still leave within the flush window — batching
+  // trades bounded latency, never liveness.
   Rig rig(SimConfig{.num_stacks = 2, .seed = 23});
   std::vector<std::string> got;
+  TimePoint last_arrival = 0;
   rig.rp2p[1]->rp2p_bind_channel(kChan, [&](NodeId, const Payload& p) {
     got.push_back(to_string(p));
+    last_arrival = rig.world.now();
   });
-  rig.world.at_node(0, 0, [&]() {
+  constexpr int kCount = 20;
+  constexpr Duration kLastSend = (kCount - 1) * 30 * kMicrosecond;
+  for (int i = 0; i < kCount; ++i) {
+    rig.world.at_node(i * 30 * kMicrosecond, 0, [&rig]() {
+      rig.rp2p[0]->rp2p_send(1, kChan, Payload(std::string_view("s")));
+    });
+  }
+  rig.world.run_for(5 * kMillisecond);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kCount));
+  // Flush window (100 us) + network latency (<= 75 us) + send costs.
+  EXPECT_LE(last_arrival, kLastSend + 180 * kMicrosecond);
+  EXPECT_EQ(rig.rp2p[0]->retransmissions(), 0u);
+}
+
+TEST(Rp2pBatch, LoneMessageOnColdLinkLeavesAtItsEventsBusyTime) {
+  // An idle link does not wait out the flush window: the message leaves
+  // at the end of its event, once the CPU the event charged is spent.
+  Rig rig(SimConfig{.num_stacks = 2, .seed = 26});
+  const NetModelConfig& net = rig.world.config().net;
+  TimePoint arrival = -1;
+  rig.rp2p[1]->rp2p_bind_channel(
+      kChan, [&](NodeId, const Payload&) { arrival = rig.world.now(); });
+  constexpr TimePoint kAt = kMillisecond;
+  TimePoint busy = -1;
+  rig.world.at_node(kAt, 0, [&]() {
+    HostEnv& host = rig.world.stack(0).host();
+    host.charge(30 * kMicrosecond);
+    busy = host.busy_now();
     rig.rp2p[0]->rp2p_send(1, kChan, Payload(std::string_view("lone")));
   });
-  // Flush window (100us) + network latency (<100us) + slack.
   rig.world.run_for(5 * kMillisecond);
-  EXPECT_EQ(got, (std::vector<std::string>{"lone"}));
-  EXPECT_EQ(rig.rp2p[0]->retransmissions(), 0u);
+  ASSERT_GE(busy, kAt + 30 * kMicrosecond);
+  ASSERT_GE(arrival, 0) << "never delivered";
+  // Departure = busy + the datagram's own send cost (~2 us).
+  EXPECT_GE(arrival, busy + net.min_latency);
+  EXPECT_LE(arrival, busy + net.max_latency + 5 * kMicrosecond);
+  EXPECT_EQ(rig.rp2p[0]->data_datagrams_sent(), 1u);
+}
+
+TEST(Rp2pBatch, StreamOnHotLinkPacksSeveralMessagesPerDatagram) {
+  // One message every 30 us, each from its own event: the gap EWMA drops
+  // below the 100 us window, so the link batches over the window instead
+  // of sending once per turn.
+  Rig rig(SimConfig{.num_stacks = 2, .seed = 27});
+  std::vector<int> got;
+  rig.rp2p[1]->rp2p_bind_channel(kChan, [&](NodeId, const Payload& p) {
+    BufReader r(p);
+    got.push_back(static_cast<int>(r.get_u32()));
+  });
+  constexpr int kCount = 60;
+  for (int i = 0; i < kCount; ++i) {
+    rig.world.at_node(i * 30 * kMicrosecond, 0, [&rig, i]() {
+      BufWriter w;
+      w.put_u32(static_cast<std::uint32_t>(i));
+      rig.rp2p[0]->rp2p_send(1, kChan, w.take_payload());
+    });
+  }
+  rig.world.run_for(kSecond);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kCount));
+  for (int i = 0; i < kCount; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_GE(rig.rp2p[0]->messages_sent(),
+            3 * rig.rp2p[0]->data_datagrams_sent());
+}
+
+TEST(Rp2pBatch, SendsOfOneEventToOnePeerShareADatagram) {
+  // A cold link flushes at the turn end, not per send: what one event
+  // sends to a peer leaves as one datagram per peer.
+  Rig rig(SimConfig{.num_stacks = 3, .seed = 28});
+  std::map<NodeId, std::vector<int>> got;
+  for (NodeId j = 1; j < 3; ++j) {
+    rig.rp2p[j]->rp2p_bind_channel(kChan, [&got, j](NodeId, const Payload& p) {
+      BufReader r(p);
+      got[j].push_back(static_cast<int>(r.get_u32()));
+    });
+  }
+  rig.world.at_node(kMillisecond, 0, [&rig]() {
+    for (int i = 0; i < 5; ++i) {
+      for (NodeId j = 1; j < 3; ++j) {
+        BufWriter w;
+        w.put_u32(static_cast<std::uint32_t>(i));
+        rig.rp2p[0]->rp2p_send(j, kChan, w.take_payload());
+      }
+    }
+  });
+  rig.world.run_for(kSecond);
+  EXPECT_EQ(got[1], (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(got[2], (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(rig.rp2p[0]->data_datagrams_sent(), 2u);
+}
+
+TEST(Rp2pBatch, ParkedBatchSurvivesStopCrashAndRecovery) {
+  // A batch parked for the turn end is never stranded: stop() seals it, a
+  // crash drops it with its incarnation (the dead stack's pending turn end
+  // never runs into the recovered one), and the recovered stack's link
+  // flushes at its turn ends again.
+  Rig rig(SimConfig{.num_stacks = 3, .seed = 29});
+  std::vector<std::pair<NodeId, std::string>> got;
+  rig.rp2p[2]->rp2p_bind_channel(kChan, [&](NodeId src, const Payload& p) {
+    got.emplace_back(src, to_string(p));
+  });
+  // Stop: node 0 parks a message and destroys its rp2p in the same event.
+  rig.world.at_node(kMillisecond, 0, [&rig]() {
+    rig.rp2p[0]->rp2p_send(2, kChan, Payload(std::string_view("stopped")));
+    rig.world.stack(0).destroy_module(rig.rp2p[0]);
+  });
+  // Crash: node 1 parks a message, then crashes before its turn ends.
+  rig.world.at(2 * kMillisecond, [&rig]() {
+    rig.world.run_on_node(1, [&rig]() {
+      rig.rp2p[1]->rp2p_send(2, kChan, Payload(std::string_view("crashed")));
+    });
+    rig.world.crash(1);
+  });
+  // Recovery: a fresh rp2p on node 1 sends from a driver step.
+  Rp2pModule* recovered = nullptr;
+  rig.world.at(3 * kMillisecond, [&rig, &recovered]() {
+    rig.world.recover(1);
+    Stack& stack = rig.world.stack(1);
+    UdpModule::create(stack);
+    recovered = Rp2pModule::create(stack, kRp2pService);
+    stack.start_all();
+    recovered->rp2p_send(2, kChan, Payload(std::string_view("recovered")));
+  });
+  rig.world.run_for(kSecond);
+  EXPECT_EQ(got, (std::vector<std::pair<NodeId, std::string>>{
+                     {0, "stopped"}, {1, "recovered"}}));
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_EQ(recovered->unacked_total(), 0u);
 }
 
 TEST(Rp2pBatch, NackFastRetransmitResendsHoleDatagramNotPerMessageDuplicates) {
@@ -426,11 +551,13 @@ TEST(Rp2pBatch, NackFastRetransmitResendsHoleDatagramNotPerMessageDuplicates) {
     got.push_back(static_cast<int>(r.get_u32()));
   });
   // 40 bursts of 25 messages, spread out so many distinct batch datagrams
-  // (and therefore many distinct loss opportunities) exist.
+  // (and therefore many distinct loss opportunities) exist.  1 ms apart:
+  // the next burst reveals a hole and its NACK (2 ms grace) goes out before
+  // the 5 ms retransmission timer could repair it.
   constexpr int kBursts = 40;
   constexpr int kPerBurst = 25;
   for (int burst = 0; burst < kBursts; ++burst) {
-    rig.world.at_node(burst * 5 * kMillisecond, 0, [&, burst]() {
+    rig.world.at_node(burst * kMillisecond, 0, [&, burst]() {
       for (int i = 0; i < kPerBurst; ++i) {
         BufWriter w;
         w.put_u32(static_cast<std::uint32_t>(burst * kPerBurst + i));

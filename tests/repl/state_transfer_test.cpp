@@ -125,6 +125,21 @@ TEST_P(RefreshRaceTest, RecoveringStackEntersAtTheEarliestRefresh) {
 INSTANTIATE_TEST_SUITE_P(ChurnRbcastSeeds, RefreshRaceTest,
                          ::testing::Values(101u, 118u, 199u, 200u));
 
+TEST(StateTransfer, RecoveryLaunchesExactlyOneRefreshSwitch) {
+  // A recovering churn-rbcast stack charges 8 x 20 ms of module creation
+  // while it composes, longer than the 150 ms sync_retry, and its state
+  // request leaves only once that CPU is spent.  The retry timer counts
+  // from then (the busy horizon), so the requester does not rotate to a
+  // second responder: one refresh switch, one snapshot, per recovery.
+  const std::optional<ScenarioSpec> spec = find_scenario("churn-rbcast");
+  ASSERT_TRUE(spec.has_value());
+  const ScenarioResult result = run_scenario(*spec, 101);
+  EXPECT_TRUE(result.ok()) << result.abcast_report.summary() << "\n"
+                           << result.generic_report.summary();
+  EXPECT_EQ(result.recovered, (std::set<NodeId>{2, 4}));
+  EXPECT_EQ(result.snapshots_served, result.recovered.size());
+}
+
 TEST(StateTransfer, RecoveryWithoutStateTransferCapabilityIsRejected) {
   // The runner enforces the registry capability: a maestro-managed abcast
   // cannot host recoveries (validate() already rejects it, proving the

@@ -16,6 +16,8 @@
 #include "abcast/audit.hpp"
 #include "app/stack_builder.hpp"
 #include "core/properties.hpp"
+#include "net/rp2p.hpp"
+#include "net/udp_module.hpp"
 
 namespace dpu {
 namespace {
@@ -182,6 +184,37 @@ TEST(RtWorld, RefusedSocketSendIsCountedAndSkipped) {
   world.stop();
   EXPECT_EQ(world.socket_tx_failures(), 1u);
   EXPECT_EQ(world.socket_tx_datagrams(), 1u);
+}
+
+TEST(RtWorld, LoneRp2pMessageCrossesLoopbackWithoutWaitingForATimer) {
+  // An idle rp2p link sends at the end of the loop iteration that produced
+  // the message.  Flush window and retransmission interval are 30 s, so
+  // only the turn end can deliver within the deadline.
+  RtConfig config{.num_stacks = 2, .seed = 6};
+  config.transport = RtTransport::kUdpSockets;
+  config.udp_base_port = 38951;
+  RtWorld world(config);
+  Rp2pConfig rc;
+  rc.batch_flush_ns = 30 * kSecond;
+  rc.retransmit_interval = 30 * kSecond;
+  std::vector<Rp2pModule*> rp2p;
+  for (NodeId i = 0; i < 2; ++i) {
+    UdpModule::create(world.stack(i));
+    rp2p.push_back(Rp2pModule::create(world.stack(i), kRp2pService, rc));
+    world.stack(i).start_all();
+  }
+  std::atomic<int> delivered{0};
+  rp2p[1]->rp2p_bind_channel(
+      7, [&delivered](NodeId, const Payload&) { ++delivered; });
+  world.start();
+  world.post_to(0, [&]() {
+    rp2p[0]->rp2p_send(1, 7, Payload(std::string_view("lone")));
+  });
+  ASSERT_TRUE(wait_until([&]() { return delivered.load() == 1; },
+                         5 * kSecond));
+  world.stop();
+  EXPECT_EQ(rp2p[0]->retransmissions(), 0u);
+  EXPECT_GE(world.socket_tx_datagrams(), 1u);
 }
 
 TEST(RtWorld, LossyInprocTransportStillReliable) {

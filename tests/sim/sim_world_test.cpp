@@ -81,6 +81,41 @@ TEST(SimWorld, PostRunsAfterCurrentEvent) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(SimWorld, TurnEndRunsAfterEachEventDriverStepAndBetweenRuns) {
+  SimWorld world(SimConfig{.num_stacks = 2, .seed = 1});
+  HostEnv& host = world.stack(0).host();
+  std::vector<std::string> order;
+  // Between runs: ends at the start of the next run.
+  host.at_turn_end([&]() { order.push_back("setup-end"); });
+  // Node event: ends right after it, before a post()ed closure; a
+  // callback requested from a callback joins the same turn end.
+  host.set_timer(kMillisecond, [&]() {
+    order.push_back("event");
+    host.post([&]() { order.push_back("posted"); });
+    host.at_turn_end([&]() {
+      order.push_back("event-end");
+      host.at_turn_end([&]() { order.push_back("nested-end"); });
+    });
+    const TurnEndId cancelled =
+        host.at_turn_end([&]() { order.push_back("cancelled"); });
+    host.cancel_turn_end(cancelled);
+  });
+  // Driver step: ends after the step.
+  world.at(2 * kMillisecond, [&]() {
+    order.push_back("driver");
+    host.at_turn_end([&]() { order.push_back("driver-end"); });
+  });
+  // Crash: the dead stack's pending turn end is dropped.
+  world.at(3 * kMillisecond, [&]() {
+    world.stack(1).host().at_turn_end([&]() { order.push_back("dead-end"); });
+    world.crash(1);
+  });
+  world.run_for(kSecond);
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "setup-end", "event", "event-end", "nested-end",
+                       "posted", "driver", "driver-end"}));
+}
+
 TEST(SimWorld, PacketDeliveredWithinLatencyBounds) {
   SimConfig config{.num_stacks = 2, .seed = 7};
   config.net.min_latency = 50 * kMicrosecond;
